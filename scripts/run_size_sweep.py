@@ -17,7 +17,7 @@ import numpy as np
 from folkclass.folksonomy import Bookmark, CategoryAssignment, ingest_bookmarks
 from folkclass.harness import ExperimentSpec, run_experiment
 from folkclass.representation import RepresentationScheme
-from folkclass.svm import TrainConfig
+from folkclass.svm import SCHEMES, TrainConfig
 from folkclass.weighting import InverseFrequencyKind
 
 
@@ -44,8 +44,7 @@ def main():
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 16, 32, 64])
     parser.add_argument("--runs", type=int, default=6)
     parser.add_argument("--epochs", type=int, default=60)
-    parser.add_argument("--svm-scheme", choices=["native", "one-vs-all", "one-vs-one"],
-                        default="native")
+    parser.add_argument("--svm-scheme", choices=list(SCHEMES), default="native")
     args = parser.parse_args()
 
     f, labels = synthetic_labeled_corpus(args.seed, args.resources)

@@ -29,7 +29,7 @@ __all__ = [
     "UserProfile", "UserSplit", "MEASURES", "RANKING_DIRECTION",
     "tpp", "trr", "orphan", "user_profile", "all_profiles", "rank_users",
     "split_by_assignments", "descriptiveness", "DescriptivenessResult",
-    "profile_lines", "parse_profile_lines",
+    "profile_lines",
 ]
 
 MEASURES = ("tpp", "trr", "orphan")
@@ -208,16 +208,3 @@ def profile_lines(profiles: Iterable[UserProfile]) -> Iterable[str]:
     for p in profiles:
         yield f"{p.user}\t{p.tpp!r}\t{p.trr!r}\t{p.orphan!r}\t{p.n_assignments}"
 
-
-def parse_profile_lines(lines: Iterable[str]) -> list[UserProfile]:
-    out = []
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        user, tpp_s, trr_s, orphan_s, assignments = line.split("\t")
-        out.append(UserProfile(user=user, tpp=float(tpp_s), trr=float(trr_s),
-                               orphan=float(orphan_s), n_resources=0,
-                               n_distinct_tags=0,
-                               n_assignments=int(assignments)))
-    return out

@@ -11,20 +11,22 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable
-from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import behavior as behavior_mod
 from . import svm
-from .committees import combine, read_margin_lines
+from .committees import (MarginTable, combine, predict_committee_batch,
+                         read_margin_lines, write_margin_lines)
 from .errors import ToolkitError
 from .folksonomy import (DEFAULT_READING_STATE_TAGS, Folksonomy, bookmark_to_line,
                          corpus_statistics, ingest_bookmarks, novelty_ratios,
                          parse_bookmark_lines, parse_category_lines,
                          strip_reading_state)
 from .generator import REGIMES, RegimeConfig, generate_bookmarks
-from .harness import (ExperimentSpec, Member, parse_flat_config, run_experiment,
-                      run_topk_sweep)
+from .harness import (ExperimentSpec, Member, _label_map, parse_flat_config,
+                      run_experiment, run_topk_sweep)
 from .representation import (RepresentationScheme, load_stopwords,
                              represent_resource, tag_vocabulary)
 from .svm import LabeledDataset, TrainConfig
@@ -122,11 +124,7 @@ def _cmd_weight(args) -> int:
 
 def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
                      level: str) -> tuple[LabeledDataset, list[str]]:
-    label_of = {}
-    for a in parse_category_lines(_read_lines(labels_path)):
-        value = a.top if level == "top" else a.second
-        if value is not None:
-            label_of[a.resource] = value
+    label_of = _label_map(parse_category_lines(_read_lines(labels_path)), level)
     used = sorted(r for r in vectors if r in label_of)
     if not used:
         raise ToolkitError("no overlap between vectors and labels")
@@ -173,13 +171,9 @@ def _cmd_eval(args) -> int:
             f"label categories {ds.categories}")
     accuracy = svm.evaluate_accuracy(model, ds)
     if args.margins_out:
-        lines = []
-        for r, (fv, _) in zip(used, ds.instances):
-            margins = model.margins(fv)
-            pairs = " ".join(f"{c}:{float(m)!r}"
-                             for c, m in zip(model.categories, margins))
-            lines.append(f"{r}\t{pairs}")
-        _write_tsv(lines, args.margins_out)
+        table = MarginTable(tuple(used), model.categories,
+                            np.array([model.margins(fv) for fv, _ in ds.instances]))
+        _write_tsv(write_margin_lines(table), args.margins_out)
     _write_json({"meta": {"kind": "eval", "model_meta": model.meta},
                  "n_instances": len(ds), "accuracy": accuracy}, args.output)
     return 0
@@ -190,10 +184,9 @@ def _cmd_committee(args) -> int:
         raise ToolkitError("committee needs at least 2 margin files")
     tables = [read_margin_lines(_read_lines(p)) for p in args.margins]
     summed, report = combine(tables, normalize=not args.no_normalize)
-    predictions = [
-        {"instance": inst, "category": summed.categories[int(row.argmax())]}
-        for inst, row in zip(summed.instances, summed.scores)
-    ]
+    predictions = [{"instance": inst, "category": category}
+                   for inst, category in zip(summed.instances,
+                                             predict_committee_batch(summed))]
     _write_json({
         "meta": {"kind": "committee", "members": list(args.margins),
                  "normalization": report},
@@ -247,8 +240,18 @@ def _parse_member(text: str) -> Member:
     return RepresentationScheme.parse(text)
 
 
+SWEEP_KEYS = ("member", "sizes", "runs", "base_seed", "level", "penalty", "epochs",
+              "svm_scheme", "test_fraction", "min_df", "mode", "k_values",
+              "committee")
+
+
 def _cmd_sweep(args) -> int:
     config = parse_flat_config(_read_lines(args.config))
+    unknown = sorted(set(config) - set(SWEEP_KEYS))
+    if unknown:
+        raise ToolkitError(
+            f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(SWEEP_KEYS)}")
     f = _load_folksonomy(args)
     labels = list(parse_category_lines(_read_lines(args.labels)))
     train_cfg = TrainConfig(

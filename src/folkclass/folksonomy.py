@@ -23,7 +23,7 @@ __all__ = [
     "parse_bookmark_lines", "bookmark_to_line", "strip_reading_state",
     "ingest_bookmarks", "filter_popular", "prune_small_categories",
     "novelty_ratios", "corpus_statistics",
-    "parse_category_lines", "category_to_line",
+    "parse_category_lines",
 ]
 
 logger = logging.getLogger(__name__)
@@ -430,6 +430,3 @@ def parse_category_lines(lines: Iterable[str]) -> Iterator[CategoryAssignment]:
         second = parts[2] if len(parts) == 3 and parts[2] else None
         yield CategoryAssignment(resource=parts[0], top=parts[1], second=second)
 
-
-def category_to_line(a: CategoryAssignment) -> str:
-    return f"{a.resource}\t{a.top}\t{a.second or ''}"

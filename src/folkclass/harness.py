@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InsufficientDataError
 from .folksonomy import CategoryAssignment, Folksonomy
 from .representation import RepresentationScheme, Selection, Weighting, represent_resource
-from .svm import LabeledDataset, TrainConfig, evaluate_accuracy, train
+from .svm import LabeledDataset, TrainConfig, train
 from .committees import MarginTable, combine, predict_committee_batch
 from .vectors import FeatureVector, Vocabulary, build_vocabulary
 from .weighting import InverseFrequencyKind, weight_resource
@@ -122,6 +122,8 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
     categories = sorted({label_of[r] for r in pool})
     cat_id = {c: i for i, c in enumerate(categories)}
     train_pool, test_pool = hash_split(pool, spec.test_fraction)
+    if not test_pool:
+        raise InsufficientDataError("the test partition is empty")
     for size in spec.sizes:
         if size > len(train_pool):
             raise InsufficientDataError(
@@ -139,12 +141,6 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
     }
     test_labels = [cat_id[label_of[r]] for r in test_pool]
 
-    def test_dataset(member_name: str) -> LabeledDataset:
-        vs = vectors[member_name]
-        return LabeledDataset(
-            [(vs[r], cid) for r, cid in zip(test_pool, test_labels)],
-            categories, len(vocab))
-
     results = []
     for size in spec.sizes:
         run_rows = []
@@ -154,30 +150,27 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             chosen, retries = _sample_covering(
                 train_pool, size, label_of, categories, rng)
             cfg = replace(spec.train, seed=seed)
-            if spec.committee:
-                tables = []
-                for m in members:
-                    vs = vectors[_member_name(m)]
-                    ds = LabeledDataset(
-                        [(vs[r], cat_id[label_of[r]]) for r in chosen],
-                        categories, len(vocab))
-                    model = train(ds, cfg)
-                    scores = np.array([model.margins(vs[r]) for r in test_pool])
-                    tables.append(MarginTable(tuple(test_pool),
-                                              tuple(categories), scores))
-                summed, _ = combine(tables, normalize=True)
-                predicted = predict_committee_batch(summed)
-                correct = sum(1 for p, cid in zip(predicted, test_labels)
-                              if cat_id[p] == cid)
-                accuracy = correct / len(test_pool)
-            else:
-                name = _member_name(spec.member)
-                vs = vectors[name]
+            fitted = []
+            for m in members:
+                vs = vectors[_member_name(m)]
                 ds = LabeledDataset(
                     [(vs[r], cat_id[label_of[r]]) for r in chosen],
                     categories, len(vocab))
-                model = train(ds, cfg)
-                accuracy = evaluate_accuracy(model, test_dataset(name))
+                fitted.append((train(ds, cfg), vs))
+            if spec.committee:
+                tables = [MarginTable(
+                    tuple(test_pool), tuple(categories),
+                    np.array([model.margins(vs[r]) for r in test_pool]))
+                    for model, vs in fitted]
+                summed, _ = combine(tables, normalize=True)
+                predicted = [cat_id[c] for c in predict_committee_batch(summed)]
+            else:
+                # one member decides by its own rule: one-vs-one votes
+                # pairwise, which a committee of one would not
+                [(model, vs)] = fitted
+                predicted = [model.predict(vs[r]) for r in test_pool]
+            correct = sum(1 for p, cid in zip(predicted, test_labels) if p == cid)
+            accuracy = correct / len(test_pool)
             run_rows.append({"run": run, "seed": seed, "accuracy": accuracy,
                              "resampled": retries})
         results.append({

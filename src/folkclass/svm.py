@@ -11,16 +11,24 @@ feature, so it takes part in the regularizer.  Three multiclass schemes:
 * one-vs-one -- k(k-1)/2 pairwise hyperplanes, decision by majority vote,
                 ties by summed signed margins, then lowest category id
 
+All schemes share one SGD loop over a (rows, d+1) weight matrix; a scheme
+supplies only its hinge derivative with respect to the row scores.  Native
+trains its k coupled rows in one pass; every binary problem (one-vs-all's k
+category-against-rest problems, each one-vs-one pair, train_binary) trains
+one row in a pass of its own.
+
 The hinge exponent d defaults to 1; d=2 is accepted behind the config flag.
 Margins are plain float arrays of length k; prediction is argmax with
-lowest-id tie-break.  Training is deterministic under a fixed seed.
+lowest-id tie-break.  One-vs-one scores every pair in one pass over a
+vector's entries.  Training is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +38,7 @@ __all__ = [
     "TrainConfig", "LabeledDataset", "LinearModel", "OneVsOneModel",
     "train", "train_native", "train_binary", "train_one_vs_all",
     "train_one_vs_one", "self_train_2step", "SelfTrainResult",
-    "predict_margins", "predict", "predict_all", "evaluate_accuracy",
+    "predict_margins", "predict", "evaluate_accuracy",
     "objective_value", "native_objective", "native_gradient",
     "binary_objective", "binary_gradient",
     "model_to_json", "model_from_json",
@@ -39,6 +47,7 @@ __all__ = [
 SCHEMES = ("native", "one-vs-all", "one-vs-one")
 
 MODEL_FORMAT = "folkclass-model/1"
+MODEL_KINDS = ("linear", "one-vs-one")
 
 
 @dataclass(frozen=True)
@@ -105,15 +114,6 @@ class LabeledDataset:
         return X, y
 
 
-def _densify(fv: FeatureVector, d: int) -> np.ndarray:
-    x = np.zeros(d + 1)
-    for fid, w in fv.entries.items():
-        if fid < d:
-            x[fid] = w
-    x[d] = 1.0
-    return x
-
-
 @dataclass(frozen=True)
 class LinearModel:
     """Per-category weight vectors and biases; margins are w_m.x + b_m."""
@@ -169,25 +169,31 @@ class OneVsOneModel:
     def k(self) -> int:
         return len(self.categories)
 
-    def margins(self, fv: FeatureVector) -> np.ndarray:
-        """Per-category summed signed margins over all pairwise models."""
-        out = np.zeros(self.k)
-        for (a, b), m in zip(self.pairs, self.models):
-            s = m.signed_margin(fv)
-            out[b] += s
-            out[a] -= s
-        return out
+    @cached_property
+    def _positive_rows(self) -> LinearModel:
+        """Every pair's positive row stacked once, so one pass scores all pairs."""
+        return LinearModel(weights=np.vstack([m.weights[1] for m in self.models]),
+                           biases=np.array([m.biases[1] for m in self.models]),
+                           categories=tuple(f"{a}:{b}" for a, b in self.pairs))
 
-    def predict(self, fv: FeatureVector) -> int:
-        votes = np.zeros(self.k, dtype=np.int64)
+    def _pairwise(self, fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
+        """Signed margin of every pair, and their per-category sums."""
+        signed = self._positive_rows.margins(fv)
         sums = np.zeros(self.k)
-        for (a, b), m in zip(self.pairs, self.models):
-            s = m.signed_margin(fv)
-            votes[b if s > 0 else a] += 1
+        for (a, b), s in zip(self.pairs, signed):
             sums[b] += s
             sums[a] -= s
-        best = max(range(self.k), key=lambda c: (votes[c], sums[c], -c))
-        return best
+        return signed, sums
+
+    def margins(self, fv: FeatureVector) -> np.ndarray:
+        """Per-category summed signed margins over all pairwise models."""
+        return self._pairwise(fv)[1]
+
+    def predict(self, fv: FeatureVector) -> int:
+        signed, sums = self._pairwise(fv)
+        winners = [b if s > 0 else a for (a, b), s in zip(self.pairs, signed)]
+        votes = np.bincount(winners, minlength=self.k)
+        return max(range(self.k), key=lambda c: (votes[c], sums[c], -c))
 
 
 Model = LinearModel | OneVsOneModel
@@ -208,12 +214,17 @@ def _hinge_coef(gaps: np.ndarray, d_exp: int) -> np.ndarray:
     return 2.0 * np.where(active, gaps, 0.0)
 
 
-def _sgd_native(X: np.ndarray, y: np.ndarray, k: int, cfg: TrainConfig) -> np.ndarray:
-    """Tail-averaged stochastic subgradient descent on the joint objective."""
+def _sgd(X: np.ndarray, rows: int, loss_grad, cfg: TrainConfig) -> np.ndarray:
+    """Tail-averaged stochastic subgradient descent over a (rows, d+1) matrix W.
+
+    Minimizes 0.5*||W||^2 + C * sum_i loss_i(W x_i).  `loss_grad(i, scores)`
+    returns the derivative of instance i's loss with respect to its scores
+    W x_i; rows whose derivative is zero only take the regularizer step.
+    """
     n, dim = X.shape
     lam = 1.0 / (cfg.penalty * n)
-    W = np.zeros((k, dim))
-    W_sum = np.zeros((k, dim))
+    W = np.zeros((rows, dim))
+    W_sum = np.zeros((rows, dim))
     rng = np.random.default_rng(cfg.seed)
     total = cfg.epochs * n
     tail_start = total - (total // 2)   # average the final half of the iterates
@@ -222,45 +233,35 @@ def _sgd_native(X: np.ndarray, y: np.ndarray, k: int, cfg: TrainConfig) -> np.nd
         for i in rng.permutation(n):
             t += 1
             x = X[i]
-            yi = y[i]
-            scores = W @ x
-            gaps = 2.0 - (scores[yi] - scores)
-            gaps[yi] = 0.0
-            coef = _hinge_coef(gaps, cfg.hinge_exponent)
+            g = loss_grad(i, W @ x)
             eta = 1.0 / (lam * t)
             W *= 1.0 - 1.0 / t
-            nz = coef.nonzero()[0]
+            nz = g.nonzero()[0]
             if nz.size:
-                W[nz] -= np.outer(eta * coef[nz], x)
-                W[yi] += eta * coef[nz].sum() * x
+                W[nz] -= np.outer(eta * g[nz], x)
             if t >= tail_start:
                 W_sum += W
     return W_sum / (total - tail_start + 1)
 
 
-def _sgd_binary(X: np.ndarray, ydec: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """Same optimizer on the binary hinge max(0, 1 - y*(w.x))^d."""
-    n, dim = X.shape
-    lam = 1.0 / (cfg.penalty * n)
-    w = np.zeros(dim)
-    w_sum = np.zeros(dim)
-    rng = np.random.default_rng(cfg.seed)
-    total = cfg.epochs * n
-    tail_start = total - (total // 2)
-    t = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
-            t += 1
-            x = X[i]
-            gap = 1.0 - ydec[i] * (w @ x)
-            eta = 1.0 / (lam * t)
-            w *= 1.0 - 1.0 / t
-            if gap > 0.0:
-                coef = 1.0 if cfg.hinge_exponent == 1 else 2.0 * gap
-                w += eta * coef * ydec[i] * x
-            if t >= tail_start:
-                w_sum += w
-    return w_sum / (total - tail_start + 1)
+def _native_hinge_grad(y: np.ndarray, d_exp: int):
+    """Score derivative of sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m))^d over k rows."""
+    def loss_grad(i: int, scores: np.ndarray) -> np.ndarray:
+        yi = y[i]
+        gaps = 2.0 - (scores[yi] - scores)
+        gaps[yi] = 0.0
+        g = _hinge_coef(gaps, d_exp)
+        g[yi] = -g.sum()
+        return g
+    return loss_grad
+
+
+def _binary_hinge_grad(ydec: np.ndarray, d_exp: int):
+    """Score derivative of max(0, 1 - y_i*s)^d for one row, with y_i in {-1, +1}."""
+    def loss_grad(i: int, scores: np.ndarray) -> np.ndarray:
+        yi = ydec[i]
+        return -yi * _hinge_coef(1.0 - yi * scores, d_exp)
+    return loss_grad
 
 
 def _model_meta(cfg: TrainConfig, scheme: str) -> dict:
@@ -268,14 +269,30 @@ def _model_meta(cfg: TrainConfig, scheme: str) -> dict:
             "seed": cfg.seed, "hinge_exponent": cfg.hinge_exponent}
 
 
+def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
+                  scheme: str) -> LinearModel:
+    return LinearModel(weights=W[:, :-1], biases=W[:, -1],
+                       categories=tuple(categories), meta=_model_meta(cfg, scheme))
+
+
+def _binary_row(X: np.ndarray, ydec: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """One hyperplane (1, d+1) trained on +1/-1 targets."""
+    return _sgd(X, 1, _binary_hinge_grad(ydec, cfg.hinge_exponent), cfg)
+
+
+def _pair_model(X: np.ndarray, ydec: np.ndarray, categories: Sequence[str],
+                cfg: TrainConfig) -> LinearModel:
+    """One hyperplane w stored as rows [-w, w]."""
+    w = _binary_row(X, ydec, cfg)
+    return _linear_model(np.vstack([-w, w]), categories, cfg, "binary")
+
+
 def train_native(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Joint multiclass training over all k categories at once."""
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    W = _sgd_native(X, y, dataset.k, cfg)
-    return LinearModel(weights=W[:, :-1], biases=W[:, -1],
-                       categories=tuple(dataset.categories),
-                       meta=_model_meta(cfg, "native"))
+    W = _sgd(X, dataset.k, _native_hinge_grad(y, cfg.hinge_exponent), cfg)
+    return _linear_model(W, dataset.categories, cfg, "native")
 
 
 def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
@@ -284,26 +301,21 @@ def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
         raise ValueError(f"binary training needs exactly 2 categories, got {dataset.k}")
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    ydec = np.where(y == 1, 1.0, -1.0)
-    w = _sgd_binary(X, ydec, cfg)
-    W = np.vstack([-w, w])
-    return LinearModel(weights=W[:, :-1], biases=W[:, -1],
-                       categories=tuple(dataset.categories),
-                       meta=_model_meta(cfg, "binary"))
+    return _pair_model(X, np.where(y == 1, 1.0, -1.0), dataset.categories, cfg)
 
 
 def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """k binary problems (category m against the rest), decision by argmax margin."""
+    """k binary problems (category m against the rest), decision by argmax margin.
+
+    Each problem trains its own row: a k-row pass would score all rows with one
+    matrix-vector product, whose rounding differs from a single row's dot
+    product and flips exact-zero hinge gaps on integer tag counts.
+    """
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    rows = []
-    for m in range(dataset.k):
-        ydec = np.where(y == m, 1.0, -1.0)
-        rows.append(_sgd_binary(X, ydec, cfg))
-    W = np.vstack(rows)
-    return LinearModel(weights=W[:, :-1], biases=W[:, -1],
-                       categories=tuple(dataset.categories),
-                       meta=_model_meta(cfg, "one-vs-all"))
+    W = np.vstack([_binary_row(X, np.where(y == m, 1.0, -1.0), cfg)
+                   for m in range(dataset.k)])
+    return _linear_model(W, dataset.categories, cfg, "one-vs-all")
 
 
 def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel:
@@ -314,14 +326,9 @@ def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel
     models = []
     for a, b in pairs:
         mask = (y == a) | (y == b)
-        Xp = X[mask]
-        ydec = np.where(y[mask] == b, 1.0, -1.0)
-        w = _sgd_binary(Xp, ydec, cfg)
-        W = np.vstack([-w, w])
-        models.append(LinearModel(
-            weights=W[:, :-1], biases=W[:, -1],
-            categories=(dataset.categories[a], dataset.categories[b]),
-            meta=_model_meta(cfg, "binary")))
+        models.append(_pair_model(
+            X[mask], np.where(y[mask] == b, 1.0, -1.0),
+            (dataset.categories[a], dataset.categories[b]), cfg))
     return OneVsOneModel(categories=tuple(dataset.categories),
                          pairs=tuple(pairs), models=tuple(models),
                          meta=_model_meta(cfg, "one-vs-one"))
@@ -368,10 +375,6 @@ def predict_margins(model: Model, fv: FeatureVector) -> np.ndarray:
 
 def predict(model: Model, fv: FeatureVector) -> int:
     return model.predict(fv)
-
-
-def predict_all(model: Model, fvs: Iterable[FeatureVector]) -> list[int]:
-    return [model.predict(fv) for fv in fvs]
 
 
 def evaluate_accuracy(model: Model, test: LabeledDataset) -> float:
@@ -456,29 +459,30 @@ def objective_value(model: Model, dataset: LabeledDataset, cfg: TrainConfig) -> 
 
 # --- serialization ---
 
-def model_to_json(model: Model) -> str:
-    if isinstance(model, LinearModel):
-        doc = {
-            "format": MODEL_FORMAT,
-            "kind": "linear",
-            "categories": list(model.categories),
+def _linear_to_doc(model: LinearModel) -> dict:
+    return {"categories": list(model.categories),
             "weights": model.weights.tolist(),
             "biases": model.biases.tolist(),
-            "meta": model.meta,
-        }
+            "meta": model.meta}
+
+
+def _linear_from_doc(doc: dict) -> LinearModel:
+    return LinearModel(weights=np.array(doc["weights"], dtype=float),
+                       biases=np.array(doc["biases"], dtype=float),
+                       categories=tuple(doc["categories"]),
+                       meta=doc.get("meta", {}))
+
+
+def model_to_json(model: Model) -> str:
+    if isinstance(model, LinearModel):
+        doc = {"format": MODEL_FORMAT, "kind": "linear", **_linear_to_doc(model)}
     else:
         doc = {
             "format": MODEL_FORMAT,
             "kind": "one-vs-one",
             "categories": list(model.categories),
             "pairs": [list(p) for p in model.pairs],
-            "sub_models": [
-                {"categories": list(m.categories),
-                 "weights": m.weights.tolist(),
-                 "biases": m.biases.tolist(),
-                 "meta": m.meta}
-                for m in model.models
-            ],
+            "sub_models": [_linear_to_doc(m) for m in model.models],
             "meta": model.meta,
         }
     return json.dumps(doc)
@@ -488,17 +492,14 @@ def model_from_json(text: str) -> Model:
     doc = json.loads(text)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    if "kind" not in doc:
+        raise ValueError(f"model has no 'kind'; expected one of {MODEL_KINDS}")
+    if doc["kind"] not in MODEL_KINDS:
+        raise ValueError(
+            f"unknown model kind {doc['kind']!r}; expected one of {MODEL_KINDS}")
     if doc["kind"] == "linear":
-        return LinearModel(weights=np.array(doc["weights"], dtype=float),
-                           biases=np.array(doc["biases"], dtype=float),
-                           categories=tuple(doc["categories"]),
-                           meta=doc.get("meta", {}))
-    subs = tuple(
-        LinearModel(weights=np.array(s["weights"], dtype=float),
-                    biases=np.array(s["biases"], dtype=float),
-                    categories=tuple(s["categories"]),
-                    meta=s.get("meta", {}))
-        for s in doc["sub_models"])
+        return _linear_from_doc(doc)
     return OneVsOneModel(categories=tuple(doc["categories"]),
                          pairs=tuple((p[0], p[1]) for p in doc["pairs"]),
-                         models=subs, meta=doc.get("meta", {}))
+                         models=tuple(_linear_from_doc(s) for s in doc["sub_models"]),
+                         meta=doc.get("meta", {}))

@@ -211,6 +211,24 @@ class TestSweepCommand:
         assert report["results"][0]["size"] == 9
 
 
+    def test_unknown_config_keys_rejected_by_name(self, tmp_path, capsys):
+        f, labels = labeled_corpus(seed=6, n_resources=40)
+        bookmarks = tmp_path / "bookmarks.jsonl"
+        bookmarks.write_text("".join(bookmark_to_line(b) + "\n"
+                                     for b in f.bookmarks))
+        labels_path = tmp_path / "labels.tsv"
+        labels_path.write_text("".join(f"{a.resource}\t{a.top}\n" for a in labels))
+        config = tmp_path / "sweep.conf"
+        config.write_text(format_flat_config({
+            "sizes": "9", "runs": "1", "epoch": "3", "svm_schem": "one-vs-one"}))
+        out = tmp_path / "report.json"
+        assert run(["sweep", "--bookmarks", bookmarks, "--labels", labels_path,
+                    "--config", config, "-o", out]) == 1
+        err = capsys.readouterr().err
+        assert "epoch, svm_schem" in err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -221,6 +239,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run(["ingest", "--bookmarks", two_bookmark_file, "--bogus"])
         assert err.value.code == 2
+
+    def test_model_without_kind_is_runtime_error(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"format": "folkclass-model/1"}')
+        assert run(["eval", "--model", model, "--vectors", tmp_path / "v.tsv",
+                    "--labels", tmp_path / "l.tsv"]) == 1
+        assert "kind" in capsys.readouterr().err
 
     def test_malformed_input_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from folkclass import harness
 from folkclass.errors import InsufficientDataError
 from folkclass.folksonomy import Bookmark, CategoryAssignment, ingest_bookmarks
 from folkclass.harness import (ExperimentSpec, hash_split, parse_flat_config,
@@ -8,6 +9,8 @@ from folkclass.harness import (ExperimentSpec, hash_split, parse_flat_config,
 from folkclass.representation import RepresentationScheme
 from folkclass.svm import TrainConfig
 from folkclass.weighting import InverseFrequencyKind
+
+from conftest import constant_one_vs_one
 
 
 def labeled_corpus(seed=0, n_resources=60, k=3):
@@ -85,6 +88,15 @@ class TestRunExperiment:
         with pytest.raises(InsufficientDataError, match="9999"):
             run_experiment(quick_spec(sizes=(9999,)), f, labels)
 
+    @pytest.mark.parametrize("committee", [
+        None, (RepresentationScheme.parse("weighted-fta"), InverseFrequencyKind.IRF)])
+    def test_empty_test_partition_rejected(self, committee):
+        f, labels = labeled_corpus(n_resources=9)
+        assert hash_split([a.resource for a in labels], 0.05)[1] == []
+        spec = quick_spec(sizes=(3,), test_fraction=0.05, committee=committee)
+        with pytest.raises(InsufficientDataError, match="test partition is empty"):
+            run_experiment(spec, f, labels)
+
     def test_partition_counts_add_up(self):
         f, labels = labeled_corpus()
         report = run_experiment(quick_spec(), f, labels)
@@ -110,6 +122,22 @@ class TestRunExperiment:
         report = run_experiment(quick_spec(committee=committee), f, labels)
         assert report["meta"]["committee"] == ["weighted-fta", "tf-irf"]
         assert 0.0 <= report["results"][0]["mean_accuracy"] <= 1.0
+
+    def test_single_one_vs_one_member_decides_by_votes(self, monkeypatch):
+        # every test instance gets two pairwise votes for cat2, while the
+        # summed pairwise margins favour cat0
+        monkeypatch.setattr(harness, "train",
+                            lambda ds, cfg: constant_one_vs_one([-5.0, 0.1, 0.1]))
+        f, labels = labeled_corpus()
+        _, test = hash_split([a.resource for a in labels], 0.4)
+        top = {a.resource: a.top for a in labels}
+        share = {c: sum(top[r] == c for r in test) / len(test)
+                 for c in ("cat0", "cat2")}
+        member = RepresentationScheme.parse("weighted-fta")
+        single = run_experiment(quick_spec(member=member), f, labels)
+        of_one = run_experiment(quick_spec(committee=(member,)), f, labels)
+        assert single["results"][0]["mean_accuracy"] == share["cat2"]
+        assert of_one["results"][0]["mean_accuracy"] == share["cat0"]
 
     def test_accuracy_high_on_separable_tags(self):
         f, labels = labeled_corpus(seed=2)

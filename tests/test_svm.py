@@ -10,7 +10,8 @@ from folkclass.svm import (LabeledDataset, LinearModel, OneVsOneModel,
                            train_one_vs_one)
 from folkclass.vectors import FeatureVector
 
-from conftest import gaussian_blobs, multiclass_perceptron_separable
+from conftest import (constant_one_vs_one, gaussian_blobs,
+                      multiclass_perceptron_separable)
 
 MEANS_3 = [(0.0, 8.0), (8.0, -4.0), (-8.0, -4.0)]
 
@@ -179,6 +180,30 @@ class TestOneVsAll:
         model = train_one_vs_all(blobs3, TrainConfig(epochs=5, seed=0))
         assert model.weights.shape[0] == 3
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_rows_equal_separate_binary_trainings(self, d):
+        # Integer tag counts make hinge gaps of exactly 0 common at
+        # hinge_exponent=1, so the last rounding bit of a score decides the
+        # step: any change in how a row is scored shows up in the weights.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            instances = []
+            for i in range(30):
+                counts = rng.poisson(1.0, d)
+                counts[i % 3] += rng.integers(0, 3)
+                instances.append((FeatureVector(
+                    {j: float(c) for j, c in enumerate(counts) if c}, d), i % 3))
+            ds = LabeledDataset(instances, ["a", "b", "c"], d)
+            cfg = TrainConfig(epochs=10, seed=seed)
+            model = train_one_vs_all(ds, cfg)
+            for m, category in enumerate(ds.categories):
+                rest_vs_m = LabeledDataset(
+                    [(x, int(cid == m)) for x, cid in ds.instances],
+                    ["rest", category], d)
+                single = train_binary(rest_vs_m, cfg)
+                assert np.array_equal(model.weights[m], single.weights[1]), (seed, m)
+                assert model.biases[m] == single.biases[1], (seed, m)
+
     def test_single_category_dataset_impossible(self):
         with pytest.raises(ValueError):
             LabeledDataset([(fv(1.0), 0)], ["only"], 1)
@@ -220,6 +245,22 @@ class TestOneVsOne:
             expected[b] += s
             expected[a] -= s
         assert np.allclose(model.margins(x), expected)
+
+    def test_votes_outrank_summed_margins(self):
+        model = constant_one_vs_one([-5.0, 0.1, 0.1])
+        x = fv(1.0)
+        assert int(np.argmax(model.margins(x))) == 0
+        assert model.predict(x) == 2       # two pairwise wins against one
+
+    def test_vote_tie_broken_by_summed_margins(self):
+        model = constant_one_vs_one([2.0, -1.0, 1.0])
+        assert list(model.margins(fv(1.0))) == [-1.0, 1.0, 0.0]
+        assert model.predict(fv(1.0)) == 1
+
+    def test_full_tie_goes_to_lowest_id(self):
+        model = constant_one_vs_one([1.0, -1.0, 1.0])
+        assert list(model.margins(fv(1.0))) == [0.0, 0.0, 0.0]
+        assert model.predict(fv(1.0)) == 0
 
 
 class TestSelfTraining:
@@ -395,6 +436,14 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             model_from_json('{"format": "other/9"}')
+
+    def test_missing_kind_named(self):
+        with pytest.raises(ValueError, match="no 'kind'"):
+            model_from_json('{"format": "folkclass-model/1"}')
+
+    def test_unknown_kind_named(self):
+        with pytest.raises(ValueError, match="'two-step'"):
+            model_from_json('{"format": "folkclass-model/1", "kind": "two-step"}')
 
 
 class TestConfigValidation:
