@@ -16,9 +16,8 @@ import numpy as np
 
 from folkclass.folksonomy import Bookmark, CategoryAssignment, ingest_bookmarks
 from folkclass.harness import ExperimentSpec, run_experiment
-from folkclass.representation import RepresentationScheme
 from folkclass.svm import SCHEMES, TrainConfig
-from folkclass.weighting import InverseFrequencyKind
+from folkclass.weighting import parse_member
 
 
 def synthetic_labeled_corpus(seed, n_resources, k=4, noise_tags=30):
@@ -48,12 +47,8 @@ def main():
     args = parser.parse_args()
 
     f, labels = synthetic_labeled_corpus(args.seed, args.resources)
-    members = [
-        RepresentationScheme.parse("weighted-fta"),
-        RepresentationScheme.parse("fractions-fta"),
-        RepresentationScheme.parse("ranks-top10"),
-        InverseFrequencyKind.IRF,
-    ]
+    members = [parse_member(name) for name in
+               ("weighted-fta", "fractions-fta", "ranks-top10", "tf-irf")]
     header = "representation" + "".join(f"{s:>9d}" for s in args.sizes)
     print(header)
     for member in members:

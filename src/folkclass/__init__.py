@@ -11,9 +11,8 @@ from .representation import (RepresentationScheme, Selection, TextPipelineConfig
 from .weighting import (InverseFrequencyKind, correlate_weightings,
                         inverse_frequency, pearson, spearman, weight_resource)
 from .svm import (LabeledDataset, LinearModel, OneVsOneModel, TrainConfig,
-                  evaluate_accuracy, objective_value, predict, predict_margins,
-                  self_train_2step, train, train_binary, train_native,
-                  train_one_vs_all, train_one_vs_one)
+                  evaluate_accuracy, objective_value, self_train_2step, train,
+                  train_binary, train_native, train_one_vs_all, train_one_vs_one)
 from .committees import (MarginTable, combine, normalize_margins,
                          predict_committee, predict_committee_batch)
 from .behavior import (UserProfile, UserSplit, all_profiles, descriptiveness,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +21,17 @@ from .committees import (MarginTable, combine, predict_committee_batch,
                          read_margin_lines, write_margin_lines)
 from .errors import ToolkitError
 from .folksonomy import (DEFAULT_READING_STATE_TAGS, Folksonomy, bookmark_to_line,
-                         corpus_statistics, ingest_bookmarks, novelty_ratios,
-                         parse_bookmark_lines, parse_category_lines,
-                         strip_reading_state)
+                         corpus_statistics, ingest_bookmarks, label_map,
+                         novelty_ratios, parse_bookmark_lines,
+                         parse_category_lines, strip_reading_state)
 from .generator import REGIMES, RegimeConfig, generate_bookmarks
-from .harness import (ExperimentSpec, Member, _label_map, parse_flat_config,
-                      run_experiment, run_topk_sweep)
-from .representation import (RepresentationScheme, load_stopwords,
-                             represent_resource, tag_vocabulary)
+from .harness import (ExperimentSpec, parse_flat_config, run_experiment,
+                      run_topk_sweep)
+from .representation import RepresentationScheme, load_stopwords, tag_vocabulary
 from .svm import LabeledDataset, TrainConfig
-from .vectors import FeatureVector, Vocabulary, read_vector_lines, write_vector_lines
-from .weighting import InverseFrequencyKind, correlate_weightings, weight_resource
+from .vectors import FeatureVector, read_vector_lines, write_vector_lines
+from .weighting import (InverseFrequencyKind, correlate_weightings, parse_member,
+                        vectorize)
 
 __all__ = ["main"]
 
@@ -90,46 +90,35 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _vocab_to_json(vocab: Vocabulary) -> dict:
-    return {"n_documents": vocab.n_documents, "doc_frequency": vocab.doc_frequency}
-
-
-def _cmd_represent(args) -> int:
+def _cmd_vectors(args) -> int:   # represent and weight
     f = _load_folksonomy(args)
-    scheme = RepresentationScheme.parse(args.scheme)
-    vocab = tag_vocabulary(f, args.min_df)
-    vectors = {r: represent_resource(f, r, scheme, vocab)
-               for r in sorted(f.resource_tag_weights)}
-    _write_tsv(write_vector_lines(vectors), args.output)
-    if args.vocab_out:
-        _write_json(_vocab_to_json(vocab), args.vocab_out)
-    return 0
-
-
-def _cmd_weight(args) -> int:
-    f = _load_folksonomy(args)
-    kind = InverseFrequencyKind(args.kind)
     if args.correlate:
         _write_json({"meta": {"kind": "correlation"},
                      "correlation": correlate_weightings(f)}, args.output)
         return 0
+    member = (RepresentationScheme.parse(args.scheme) if args.command == "represent"
+              else InverseFrequencyKind(args.kind))
     vocab = tag_vocabulary(f, args.min_df)
-    vectors = {r: weight_resource(f, r, kind, vocab)
-               for r in sorted(f.resource_tag_weights)}
+    vectors = vectorize(f, member, vocab, sorted(f.resource_tag_weights))
     _write_tsv(write_vector_lines(vectors), args.output)
     if args.vocab_out:
-        _write_json(_vocab_to_json(vocab), args.vocab_out)
+        _write_json({"n_documents": vocab.n_documents,
+                     "doc_frequency": vocab.doc_frequency}, args.vocab_out)
     return 0
 
 
 def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
-                     level: str) -> tuple[LabeledDataset, list[str]]:
-    label_of = _label_map(parse_category_lines(_read_lines(labels_path)), level)
+                     level: str, categories: Sequence[str] = (),
+                     ) -> tuple[LabeledDataset, list[str]]:
+    label_of = label_map(parse_category_lines(_read_lines(labels_path)), level)
     used = sorted(r for r in vectors if r in label_of)
     if not used:
         raise ToolkitError("no overlap between vectors and labels")
-    categories = sorted({label_of[r] for r in used})
+    categories = list(categories or sorted({label_of[r] for r in used}))
     cat_id = {c: i for i, c in enumerate(categories)}
+    for r in used:
+        if label_of[r] not in cat_id:
+            raise ToolkitError(f"label {label_of[r]!r} of {r!r} is not a model category")
     dim = max((fv.dim for fv in vectors.values()), default=0)
     ds = LabeledDataset([(vectors[r], cat_id[label_of[r]]) for r in used],
                         categories, dim)
@@ -164,11 +153,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
     vectors = read_vector_lines(_read_lines(args.vectors))
-    ds, used = _labeled_dataset(vectors, args.labels, args.level)
-    if list(model.categories) != ds.categories:
-        raise ToolkitError(
-            f"model categories {list(model.categories)} do not match "
-            f"label categories {ds.categories}")
+    ds, used = _labeled_dataset(vectors, args.labels, args.level, model.categories)
     accuracy = svm.evaluate_accuracy(model, ds)
     if args.margins_out:
         table = MarginTable(tuple(used), model.categories,
@@ -233,13 +218,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_member(text: str) -> Member:
-    if text == "tf" or text.startswith("tf-"):
-        kind = text[3:] if text.startswith("tf-") else "none"
-        return InverseFrequencyKind(kind)
-    return RepresentationScheme.parse(text)
-
-
 SWEEP_KEYS = ("member", "sizes", "runs", "base_seed", "level", "penalty", "epochs",
               "svm_scheme", "test_fraction", "min_df", "mode", "k_values",
               "committee")
@@ -261,10 +239,10 @@ def _cmd_sweep(args) -> int:
     )
     committee = None
     if "committee" in config:
-        committee = tuple(_parse_member(m.strip())
+        committee = tuple(parse_member(m.strip())
                           for m in config["committee"].split(","))
     spec = ExperimentSpec(
-        member=_parse_member(config.get("member", "weighted-fta")),
+        member=parse_member(config.get("member", "weighted-fta")),
         train=train_cfg,
         sizes=tuple(int(s) for s in config.get("sizes", "50").split(",")),
         runs=int(config.get("runs", "6")),
@@ -329,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-df", type=float, default=0.0)
     p.add_argument("--vocab-out", default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_represent)
+    p.set_defaults(func=_cmd_vectors, correlate=False)
 
     p = sub.add_parser("weight", help="inverse-frequency weighted vectors")
     _add_bookmark_args(p)
@@ -340,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit correlations between the weighting functions instead")
     p.add_argument("--vocab-out", default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_weight)
+    p.set_defaults(func=_cmd_vectors)
 
     p = sub.add_parser("train", help="train a multiclass linear classifier")
     p.add_argument("--vectors", required=True)
@@ -410,6 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "unlabeled_vectors", None) and not args.self_train:
+        parser.error("--unlabeled-vectors needs --self-train")
+    if getattr(args, "blocked_tags", None) and not args.strip_reading_state:
+        parser.error("--blocked-tags needs --strip-reading-state")
     try:
         return args.func(args)
     except (ToolkitError, ValueError, OSError) as exc:

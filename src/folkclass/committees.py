@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MalformedRecordError
+from .vectors import read_pair_lines, write_pair_lines
+
 __all__ = [
     "MarginTable", "normalize_margins", "combine", "predict_committee",
     "predict_committee_batch", "write_margin_lines", "read_margin_lines",
@@ -33,6 +36,8 @@ class MarginTable:
             raise ValueError(
                 f"scores shape {self.scores.shape} does not match "
                 f"{len(self.instances)} instances x {len(self.categories)} categories")
+        if len(set(self.instances)) < len(self.instances):
+            raise ValueError("instance ids must be unique")
         if not np.isfinite(self.scores).all():
             raise ValueError("margins must be finite")
 
@@ -80,11 +85,8 @@ def combine(inputs: Sequence[MarginTable], normalize: bool = True,
         if normalize:
             table, member_report = normalize_margins(table)
         report["members"].append(member_report)
-        if table.instances == first.instances:
-            total += table.scores
-        else:
-            row_of = {inst: i for i, inst in enumerate(table.instances)}
-            total += table.scores[[row_of[inst] for inst in first.instances]]
+        row_of = {inst: i for i, inst in enumerate(table.instances)}
+        total += table.scores[[row_of[inst] for inst in first.instances]]
     return MarginTable(first.instances, first.categories, total), report
 
 
@@ -100,32 +102,18 @@ def predict_committee_batch(table: MarginTable) -> list[str]:
 
 def write_margin_lines(table: MarginTable) -> Iterable[str]:
     """Serialize as `instance<TAB>category:score ...` with round-trip precision."""
-    for inst, row in zip(table.instances, table.scores):
-        pairs = " ".join(f"{c}:{float(s)!r}" for c, s in zip(table.categories, row))
-        yield f"{inst}\t{pairs}"
+    return write_pair_lines((inst, zip(table.categories, row))
+                            for inst, row in zip(table.instances, table.scores))
 
 
 def read_margin_lines(lines: Iterable[str]) -> MarginTable:
-    """Parse a margin file; category labels must not contain whitespace."""
-    instances: list[str] = []
-    rows: list[list[float]] = []
-    categories: tuple[str, ...] | None = None
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        inst, _, rest = line.partition("\t")
-        labels, scores = [], []
-        for pair in rest.split():
-            label, _, value = pair.rpartition(":")
-            labels.append(label)
-            scores.append(float(value))
-        if categories is None:
-            categories = tuple(labels)
-        elif tuple(labels) != categories:
-            raise ValueError(f"inconsistent categories at instance {inst!r}")
-        instances.append(inst)
-        rows.append(scores)
-    if categories is None:
+    """Parse a margin file; every line lists the same categories in order."""
+    records = list(read_pair_lines(lines, str))
+    if not records:
         raise ValueError("empty margin file")
-    return MarginTable(tuple(instances), categories, np.array(rows, dtype=float))
+    categories = list(records[0][2])
+    for line_number, _, pairs in records:
+        if list(pairs) != categories:
+            raise MalformedRecordError(line_number, f"categories differ from {categories}")
+    return MarginTable(tuple(inst for _, inst, _ in records), tuple(categories),
+                       np.array([list(p.values()) for _, _, p in records], dtype=float))

@@ -5,8 +5,8 @@ class ToolkitError(Exception):
     """Base class for all folkclass errors."""
 
 
-class MalformedRecordError(ToolkitError):
-    """A bookmark or label record could not be parsed."""
+class MalformedRecordError(ToolkitError, ValueError):
+    """A bookmark, label, vector or margin line could not be parsed."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")

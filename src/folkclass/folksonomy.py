@@ -19,7 +19,7 @@ from .errors import MalformedRecordError, SyntheticOrderError, UnknownResourceEr
 
 __all__ = [
     "Bookmark", "TagFrequencies", "IngestReport", "Folksonomy",
-    "CategoryAssignment", "DEFAULT_READING_STATE_TAGS",
+    "CategoryAssignment", "label_map", "DEFAULT_READING_STATE_TAGS",
     "parse_bookmark_lines", "bookmark_to_line", "strip_reading_state",
     "ingest_bookmarks", "filter_popular", "prune_small_categories",
     "novelty_ratios", "corpus_statistics",
@@ -106,6 +106,20 @@ class CategoryAssignment:
     resource: str
     top: str
     second: str | None = None
+
+    def at_level(self, level: str) -> str | None:
+        """The category at `level` ('top' or 'second'); None if there is none."""
+        return self.top if level == "top" else self.second
+
+
+def label_map(labels: Iterable[CategoryAssignment], level: str) -> dict[str, str]:
+    """Resource -> category at `level`, for every assignment that has one."""
+    out = {}
+    for a in labels:
+        category = a.at_level(level)
+        if category is not None:
+            out[a.resource] = category
+    return out
 
 
 def parse_bookmark_lines(lines: Iterable[str]) -> Iterator[Bookmark]:
@@ -283,14 +297,13 @@ def prune_small_categories(labels: Iterable[CategoryAssignment],
     labels = list(labels)
     counts: dict[str, int] = {}
     for a in labels:
-        category = a.top if level == "top" else a.second
+        category = a.at_level(level)
         if category is not None:
             counts[category] = counts.get(category, 0) + 1
     dropped = {c for c, n in counts.items() if n < min_resources}
     kept, removed = [], []
     for a in labels:
-        category = a.top if level == "top" else a.second
-        if category in dropped:
+        if a.at_level(level) in dropped:
             removed.append(a.resource)
         else:
             kept.append(a)

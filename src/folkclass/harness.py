@@ -18,19 +18,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientDataError
-from .folksonomy import CategoryAssignment, Folksonomy
-from .representation import RepresentationScheme, Selection, Weighting, represent_resource
+from .folksonomy import CategoryAssignment, Folksonomy, label_map
+from .representation import RepresentationScheme, Selection, Weighting
 from .svm import LabeledDataset, TrainConfig, train
 from .committees import MarginTable, combine, predict_committee_batch
-from .vectors import FeatureVector, Vocabulary, build_vocabulary
-from .weighting import InverseFrequencyKind, weight_resource
+from .vectors import build_vocabulary
+from .weighting import Member, member_name, vectorize
 
 __all__ = [
-    "Member", "ExperimentSpec", "hash_split", "run_experiment",
+    "ExperimentSpec", "hash_split", "run_experiment",
     "run_topk_sweep", "parse_flat_config", "format_flat_config",
 ]
-
-Member = RepresentationScheme | InverseFrequencyKind
 
 
 @dataclass(frozen=True)
@@ -61,19 +59,6 @@ class ExperimentSpec:
             raise ValueError("committee member list must not be empty")
 
 
-def _member_name(member: Member) -> str:
-    if isinstance(member, RepresentationScheme):
-        return member.name
-    return f"tf-{member.value}" if member is not InverseFrequencyKind.NONE else "tf"
-
-
-def _vectorize(f: Folksonomy, resource: str, member: Member,
-               vocab: Vocabulary) -> FeatureVector:
-    if isinstance(member, RepresentationScheme):
-        return represent_resource(f, resource, member, vocab)
-    return weight_resource(f, resource, member, vocab)
-
-
 def hash_split(resources: Iterable[str], test_fraction: float,
                ) -> tuple[list[str], list[str]]:
     """Deterministic (train, test) partition keyed on a hash of the id."""
@@ -83,15 +68,6 @@ def hash_split(resources: Iterable[str], test_fraction: float,
         bucket = int.from_bytes(hashlib.sha256(r.encode()).digest()[:8], "big") % 10 ** 6
         (test_part if bucket < cut else train_part).append(r)
     return train_part, test_part
-
-
-def _label_map(labels: Iterable[CategoryAssignment], level: str) -> dict[str, str]:
-    out = {}
-    for a in labels:
-        value = a.top if level == "top" else a.second
-        if value is not None:
-            out[a.resource] = value
-    return out
 
 
 _MAX_SAMPLE_RETRIES = 100
@@ -115,7 +91,7 @@ def _sample_covering(pool: Sequence[str], size: int, label_of: dict[str, str],
 def run_experiment(spec: ExperimentSpec, f: Folksonomy,
                    labels: Iterable[CategoryAssignment]) -> dict:
     """Training-size sweep with seeded run averaging on a fixed test partition."""
-    label_of = _label_map(labels, spec.level)
+    label_of = label_map(labels, spec.level)
     pool = sorted(r for r in label_of if r in f.resource_tag_weights)
     if not pool:
         raise InsufficientDataError("no labeled annotated resources")
@@ -135,10 +111,7 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
         (list(f.resource_tag_weights[r]) for r in train_pool),
         spec.min_df_fraction)
 
-    vectors: dict[str, dict[str, FeatureVector]] = {
-        _member_name(m): {r: _vectorize(f, r, m, vocab) for r in pool}
-        for m in members
-    }
+    vectors = {member_name(m): vectorize(f, m, vocab, pool) for m in members}
     test_labels = [cat_id[label_of[r]] for r in test_pool]
 
     results = []
@@ -152,7 +125,7 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             cfg = replace(spec.train, seed=seed)
             fitted = []
             for m in members:
-                vs = vectors[_member_name(m)]
+                vs = vectors[member_name(m)]
                 ds = LabeledDataset(
                     [(vs[r], cat_id[label_of[r]]) for r in chosen],
                     categories, len(vocab))
@@ -182,8 +155,8 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
     return {
         "meta": {
             "kind": "experiment",
-            "member": _member_name(spec.member),
-            "committee": [_member_name(m) for m in spec.committee]
+            "member": member_name(spec.member),
+            "committee": [member_name(m) for m in spec.committee]
             if spec.committee else None,
             "train": dict(spec.train.__dict__),
             "sizes": list(spec.sizes),

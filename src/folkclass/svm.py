@@ -38,7 +38,7 @@ __all__ = [
     "TrainConfig", "LabeledDataset", "LinearModel", "OneVsOneModel",
     "train", "train_native", "train_binary", "train_one_vs_all",
     "train_one_vs_one", "self_train_2step", "SelfTrainResult",
-    "predict_margins", "predict", "evaluate_accuracy",
+    "evaluate_accuracy",
     "objective_value", "native_objective", "native_gradient",
     "binary_objective", "binary_gradient",
     "model_to_json", "model_from_json",
@@ -73,7 +73,7 @@ class LabeledDataset:
     """Instances (sparse vector, category id) over dense ids 0..k-1."""
 
     def __init__(self, instances: Sequence[tuple[FeatureVector, int]],
-                 categories: Sequence[str], n_features: int | None = None):
+                 categories: Sequence[str], n_features: int):
         if len(categories) < 2:
             raise ValueError(f"need at least 2 categories, got {len(categories)}")
         self.instances = list(instances)
@@ -82,9 +82,6 @@ class LabeledDataset:
         for fv, cid in self.instances:
             if not 0 <= cid < k:
                 raise ValueError(f"category id {cid} outside 0..{k - 1}")
-        if n_features is None:
-            n_features = max((max(fv.entries, default=-1)
-                              for fv, _ in self.instances), default=-1) + 1
         self.n_features = n_features
 
     def __len__(self) -> int:
@@ -131,10 +128,6 @@ class LinearModel:
     def k(self) -> int:
         return len(self.categories)
 
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
-
     def augmented(self) -> np.ndarray:
         """Weights with the bias as a trailing column, the trained parameterization."""
         return np.hstack([self.weights, self.biases[:, None]])
@@ -145,12 +138,6 @@ class LinearModel:
             if fid < self.weights.shape[1]:
                 out += w * self.weights[:, fid]
         return out
-
-    def signed_margin(self, fv: FeatureVector) -> float:
-        """w.x + b of the positive side; only meaningful for binary models."""
-        if self.k != 2:
-            raise ValueError("signed margin is defined for binary models only")
-        return float(self.margins(fv)[1])
 
     def predict(self, fv: FeatureVector) -> int:
         return int(np.argmax(self.margins(fv)))
@@ -275,15 +262,10 @@ def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
                        categories=tuple(categories), meta=_model_meta(cfg, scheme))
 
 
-def _binary_row(X: np.ndarray, ydec: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """One hyperplane (1, d+1) trained on +1/-1 targets."""
-    return _sgd(X, 1, _binary_hinge_grad(ydec, cfg.hinge_exponent), cfg)
-
-
 def _pair_model(X: np.ndarray, ydec: np.ndarray, categories: Sequence[str],
                 cfg: TrainConfig) -> LinearModel:
     """One hyperplane w stored as rows [-w, w]."""
-    w = _binary_row(X, ydec, cfg)
+    w = _sgd(X, 1, _binary_hinge_grad(ydec, cfg.hinge_exponent), cfg)
     return _linear_model(np.vstack([-w, w]), categories, cfg, "binary")
 
 
@@ -313,7 +295,8 @@ def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    W = np.vstack([_binary_row(X, np.where(y == m, 1.0, -1.0), cfg)
+    W = np.vstack([_sgd(X, 1, _binary_hinge_grad(np.where(y == m, 1.0, -1.0),
+                                                 cfg.hinge_exponent), cfg)
                    for m in range(dataset.k)])
     return _linear_model(W, dataset.categories, cfg, "one-vs-all")
 
@@ -366,15 +349,6 @@ def self_train_2step(labeled: LabeledDataset,
                            labeled.categories, labeled.n_features)
     final = train(union, cfg)
     return SelfTrainResult(model=final, pseudo_label_counts=counts)
-
-
-def predict_margins(model: Model, fv: FeatureVector) -> np.ndarray:
-    """Per-category margins; unknown feature ids are dropped silently."""
-    return model.margins(fv)
-
-
-def predict(model: Model, fv: FeatureVector) -> int:
-    return model.predict(fv)
 
 
 def evaluate_accuracy(model: Model, test: LabeledDataset) -> float:
@@ -466,7 +440,17 @@ def _linear_to_doc(model: LinearModel) -> dict:
             "meta": model.meta}
 
 
+def _require_keys(doc, keys: Sequence[str], what: str) -> None:
+    """Raise ValueError unless `doc` is a JSON object holding every key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [repr(key) for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} has no {', '.join(missing)}")
+
+
 def _linear_from_doc(doc: dict) -> LinearModel:
+    _require_keys(doc, ("weights", "biases", "categories"), "linear model")
     return LinearModel(weights=np.array(doc["weights"], dtype=float),
                        biases=np.array(doc["biases"], dtype=float),
                        categories=tuple(doc["categories"]),
@@ -490,15 +474,16 @@ def model_to_json(model: Model) -> str:
 
 def model_from_json(text: str) -> Model:
     doc = json.loads(text)
+    _require_keys(doc, (), "model document")
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
-    if "kind" not in doc:
-        raise ValueError(f"model has no 'kind'; expected one of {MODEL_KINDS}")
+    _require_keys(doc, ("kind",), "model")
     if doc["kind"] not in MODEL_KINDS:
         raise ValueError(
             f"unknown model kind {doc['kind']!r}; expected one of {MODEL_KINDS}")
     if doc["kind"] == "linear":
         return _linear_from_doc(doc)
+    _require_keys(doc, ("categories", "pairs", "sub_models"), "one-vs-one model")
     return OneVsOneModel(categories=tuple(doc["categories"]),
                          pairs=tuple((p[0], p[1]) for p in doc["pairs"]),
                          models=tuple(_linear_from_doc(s) for s in doc["sub_models"]),

@@ -9,10 +9,13 @@ document frequencies.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
+from .errors import MalformedRecordError
+
 __all__ = ["FeatureVector", "Vocabulary", "build_vocabulary",
+           "write_pair_lines", "read_pair_lines",
            "write_vector_lines", "read_vector_lines"]
 
 
@@ -101,32 +104,53 @@ def build_vocabulary(documents: Iterable[Iterable[str]],
     )
 
 
+def write_pair_lines(records: Iterable[tuple[str, Iterable[tuple]]]) -> Iterator[str]:
+    """Serialize `key<TAB>label:value ...` lines with round-trip precision."""
+    for key, pairs in records:
+        yield f"{key}\t" + " ".join(f"{label}:{float(v)!r}" for label, v in pairs)
+
+
+def read_pair_lines(lines: Iterable[str], label_type: Callable[[str], object],
+                    ) -> Iterator[tuple[int, str, dict]]:
+    """Parse `key<TAB>label:value ...` lines into (line number, key, {label: value}).
+
+    Blank lines are skipped.  A label may hold colons but no whitespace.  A
+    line without a TAB, with a bad pair or with a repeated label raises
+    MalformedRecordError.
+    """
+    for line_number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        key, tab, rest = line.rstrip("\n").partition("\t")
+        if not tab:
+            raise MalformedRecordError(line_number, "expected key<TAB>label:value ...")
+        fields = rest.split()
+        pairs = {}
+        for pair in fields:
+            label, colon, value = pair.rpartition(":")
+            try:
+                if not colon:
+                    raise ValueError
+                pairs[label_type(label)] = float(value)
+            except ValueError:
+                raise MalformedRecordError(
+                    line_number, f"expected label:value, got {pair!r}") from None
+        if len(pairs) < len(fields):
+            raise MalformedRecordError(line_number, "a label repeats")
+        yield line_number, key, pairs
+
+
 def write_vector_lines(vectors: Mapping[str, FeatureVector]) -> Iterable[str]:
     """Serialize as `key<TAB>id:weight id:weight ...` with round-trip precision."""
-    for key in vectors:
-        fv = vectors[key]
-        pairs = " ".join(f"{fid}:{float(w)!r}" for fid, w in sorted(fv.entries.items()))
-        yield f"{key}\t{pairs}"
+    return write_pair_lines((key, sorted(fv.entries.items()))
+                            for key, fv in vectors.items())
 
 
 def read_vector_lines(lines: Iterable[str],
                       dim: int | None = None) -> dict[str, FeatureVector]:
     """Parse vector lines; infers dimensionality as max id + 1 when not given."""
-    parsed: list[tuple[str, dict[int, float]]] = []
-    max_id = -1
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        key, _, rest = line.partition("\t")
-        entries = {}
-        for pair in rest.split():
-            fid, _, w = pair.rpartition(":")
-            entries[int(fid)] = float(w)
-        if entries:
-            max_id = max(max_id, max(entries))
-        parsed.append((key, entries))
+    parsed = [(key, pairs) for _, key, pairs in read_pair_lines(lines, int)]
     if dim is None:
-        dim = max_id + 1
+        dim = max((max(e) for _, e in parsed if e), default=-1) + 1
     return {key: FeatureVector.from_items(entries.items(), dim)
             for key, entries in parsed}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DegenerateInputError, UnknownTagError
 from .folksonomy import Folksonomy
@@ -20,6 +20,7 @@ from .vectors import FeatureVector, Vocabulary
 
 __all__ = [
     "InverseFrequencyKind", "inverse_frequency", "weight_resource",
+    "Member", "parse_member", "member_name", "vectorize",
     "pearson", "spearman", "fractional_ranks", "correlate_weightings",
 ]
 
@@ -56,13 +57,38 @@ def weight_resource(f: Folksonomy, resource: str,
     """
     base = represent_resource(
         f, resource, RepresentationScheme(Weighting.WEIGHTED, Selection.FTA), vocab)
-    if kind is InverseFrequencyKind.NONE:
-        return base
     entries = [
         (fid, w * inverse_frequency(vocab.id_to_token[fid], f, kind))
         for fid, w in base.entries.items()
     ]
     return FeatureVector.from_items(entries, len(vocab))
+
+
+Member = RepresentationScheme | InverseFrequencyKind   # tag representation or tf-ixf
+
+
+def parse_member(text: str) -> Member:
+    """`tf` or `tf-<kind>` (e.g. `tf-irf`) is tf-ixf; other names are schemes."""
+    if text == "tf":
+        return InverseFrequencyKind.NONE
+    if text.startswith("tf-"):
+        return InverseFrequencyKind(text[3:])
+    return RepresentationScheme.parse(text)
+
+
+def member_name(member: Member) -> str:
+    """The name `parse_member` reads back."""
+    if isinstance(member, RepresentationScheme):
+        return member.name
+    return "tf" if member is InverseFrequencyKind.NONE else f"tf-{member.value}"
+
+
+def vectorize(f: Folksonomy, member: Member, vocab: Vocabulary,
+              resources: Iterable[str]) -> dict[str, FeatureVector]:
+    """Vector of each resource under `member`, keyed in the given order."""
+    if isinstance(member, RepresentationScheme):
+        return {r: represent_resource(f, r, member, vocab) for r in resources}
+    return {r: weight_resource(f, r, member, vocab) for r in resources}
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -252,3 +252,111 @@ class TestExitCodes:
         bad.write_text("{nope\n")
         assert run(["ingest", "--bookmarks", bad]) == 1
         assert "line 1" in capsys.readouterr().err
+
+
+def write_corpus(tmp_path, seed=4, n_resources=30):
+    """Bookmark, label and vector files of a small labeled corpus."""
+    f, labels = labeled_corpus(seed=seed, n_resources=n_resources)
+    bookmarks = tmp_path / "bookmarks.jsonl"
+    bookmarks.write_text("".join(bookmark_to_line(b) + "\n" for b in f.bookmarks))
+    labels_path = tmp_path / "labels.tsv"
+    labels_path.write_text("".join(f"{a.resource}\t{a.top}\n" for a in labels))
+    vectors = tmp_path / "vectors.tsv"
+    assert run(["represent", "--bookmarks", bookmarks,
+                "--scheme", "weighted-fta", "-o", vectors]) == 0
+    return bookmarks, labels, labels_path, vectors
+
+
+class TestEvalCategories:
+    def _train(self, tmp_path, capsys):
+        _, labels, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--epochs", "20", "--model-out", model]) == 0
+        capsys.readouterr()
+        return labels, vectors, model
+
+    def test_test_labels_may_lack_a_category(self, tmp_path, capsys):
+        labels, vectors, model = self._train(tmp_path, capsys)
+        partial = tmp_path / "partial.tsv"
+        kept = [a for a in labels if a.top != "cat0"]
+        partial.write_text("".join(f"{a.resource}\t{a.top}\n" for a in kept))
+        margins = tmp_path / "eval.margins"
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", partial, "--margins-out", margins]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_instances"] == len(kept)
+        first = margins.read_text().splitlines()[0]
+        assert [p.rpartition(":")[0] for p in first.split("\t")[1].split()] == [
+            "cat0", "cat1", "cat2"]
+
+    def test_label_outside_model_named(self, tmp_path, capsys):
+        labels, vectors, model = self._train(tmp_path, capsys)
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_text("".join(
+            f"{a.resource}\t{'cat9' if a.top == 'cat2' else a.top}\n" for a in labels))
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", renamed]) == 1
+        err = capsys.readouterr().err
+        assert "'cat9'" in err and "Traceback" not in err
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("doc", ["[]", '{"format": "folkclass-model/1", '
+                                           '"kind": "linear", "biases": [0, 0], '
+                                           '"categories": ["a", "b"]}'])
+    def test_bad_model_document_is_runtime_error(self, tmp_path, capsys, doc):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(doc)
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("folkclass: error: ") and err.count("\n") == 1
+
+    def test_bad_vectors_file_names_line(self, tmp_path, capsys):
+        _, _, labels_path, _ = write_corpus(tmp_path)
+        vectors = tmp_path / "bad.tsv"
+        vectors.write_text("r000\t0:1.0\nr001\t0:1.0 1:x\n")
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--model-out", tmp_path / "m.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "folkclass: error: line 2: expected label:value, got '1:x'\n"
+
+    def test_bad_margin_file_names_line(self, tmp_path, capsys):
+        good = tmp_path / "a.margins"
+        good.write_text("i0\ta:1.0 b:0.0\n")
+        bad = tmp_path / "b.margins"
+        bad.write_text("i0\ta:1.0 b:0.0\ni1 a:1.0\n")
+        assert run(["committee", good, bad]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+
+class TestIgnoredOptionsRejected:
+    def test_unlabeled_vectors_need_self_train(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as err:
+            run(["train", "--vectors", vectors, "--labels", labels_path,
+                 "--unlabeled-vectors", vectors, "--model-out", model])
+        assert err.value.code == 2
+        assert "--self-train" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_blocked_tags_need_strip_reading_state(self, two_bookmark_file,
+                                                   tmp_path, capsys):
+        blocked = tmp_path / "blocked.txt"
+        blocked.write_text("a\n")
+        with pytest.raises(SystemExit) as err:
+            run(["ingest", "--bookmarks", two_bookmark_file, "--blocked-tags", blocked])
+        assert err.value.code == 2
+        assert "--strip-reading-state" in capsys.readouterr().err
+
+    def test_blocked_tags_with_strip_reading_state(self, two_bookmark_file,
+                                                   tmp_path, capsys):
+        blocked = tmp_path / "blocked.txt"
+        blocked.write_text("a\n")
+        assert run(["ingest", "--bookmarks", two_bookmark_file,
+                    "--strip-reading-state", "--blocked-tags", blocked]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["report"]["distinct_tags"] == 1

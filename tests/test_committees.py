@@ -4,6 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 import hypothesis.extra.numpy as npst
 
+from folkclass.errors import MalformedRecordError
 from folkclass.committees import (MarginTable, combine, normalize_margins,
                                   predict_committee, predict_committee_batch,
                                   read_margin_lines, write_margin_lines)
@@ -145,3 +146,47 @@ class TestMarginLines:
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):
             read_margin_lines([])
+
+
+# instance ids and category labels: no whitespace or line-breaking characters
+_TOKEN = st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S")),
+                 min_size=1, max_size=8)
+
+
+class TestMarginLineCodec:
+    @given(st.lists(_TOKEN, min_size=1, max_size=5, unique=True),
+           st.lists(_TOKEN | _TOKEN.map(lambda t: f"{t}:{t}"), min_size=1,
+                    max_size=4, unique=True),
+           st.data())
+    def test_round_trip(self, instances, categories, data):
+        scores = data.draw(npst.arrays(
+            float, (len(instances), len(categories)),
+            elements=st.floats(allow_nan=False, allow_infinity=False)))
+        t = MarginTable(tuple(instances), tuple(categories), scores)
+        back = read_margin_lines(list(write_margin_lines(t)))
+        assert back.instances == t.instances
+        assert back.categories == t.categories
+        assert np.array_equal(back.scores, t.scores)
+
+    def test_labels_split_on_last_colon(self):
+        back = read_margin_lines(["i0\tweb:design:1.5 books:-2.0"])
+        assert back.categories == ("web:design", "books")
+        assert back.scores.tolist() == [[1.5, -2.0]]
+
+    def test_changed_category_set_names_line(self):
+        lines = ["i0\ta:1.0 b:2.0", "i1\ta:1.0 c:2.0"]
+        with pytest.raises(MalformedRecordError) as err:
+            read_margin_lines(lines)
+        assert err.value.line_number == 2
+
+    def test_bad_score_names_line(self):
+        with pytest.raises(MalformedRecordError, match="line 3"):
+            read_margin_lines(["i0\ta:1.0", "", "i1\ta:one"])
+
+    def test_repeated_category_in_a_line_rejected(self):
+        with pytest.raises(MalformedRecordError, match="line 1"):
+            read_margin_lines(["i0\ta:1.0 a:2.0"])
+
+    def test_duplicate_instance_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            read_margin_lines(["i0\ta:1.0 b:0.0", "i0\ta:0.0 b:1.0"])

@@ -9,7 +9,7 @@ from folkclass.folksonomy import (Bookmark, CategoryAssignment,
                                   ingest_bookmarks, novelty_ratios,
                                   parse_bookmark_lines, parse_category_lines,
                                   prune_small_categories, strip_reading_state,
-                                  bookmark_to_line)
+                                  bookmark_to_line, label_map)
 
 from conftest import brute_force_frequencies, random_bookmarks
 
@@ -172,6 +172,21 @@ class TestPruneSmallCategories:
                   CategoryAssignment("r3", "t", "s2")]
         kept, _ = prune_small_categories(labels, "second", 2)
         assert [a.resource for a in kept] == ["r2", "r3"]
+
+
+class TestLabelMap:
+    LABELS = [CategoryAssignment("r1", "t1", "s1"),
+              CategoryAssignment("r2", "t2"),
+              CategoryAssignment("r3", "t1", "s3")]
+
+    def test_top_level(self):
+        assert label_map(self.LABELS, "top") == {"r1": "t1", "r2": "t2", "r3": "t1"}
+
+    def test_second_level_skips_empty(self):
+        assert label_map(self.LABELS, "second") == {"r1": "s1", "r3": "s3"}
+
+    def test_at_level(self):
+        assert [a.at_level("second") for a in self.LABELS] == ["s1", None, "s3"]
 
 
 class TestNovelty:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,8 @@ from folkclass.svm import (LabeledDataset, LinearModel, OneVsOneModel,
                            TrainConfig, binary_gradient, binary_objective,
                            evaluate_accuracy, model_from_json, model_to_json,
                            native_gradient, native_objective, objective_value,
-                           predict, predict_margins, self_train_2step, train,
-                           train_binary, train_native, train_one_vs_all,
-                           train_one_vs_one)
+                           self_train_2step, train, train_binary, train_native,
+                           train_one_vs_all, train_one_vs_one)
 from folkclass.vectors import FeatureVector
 
 from conftest import (constant_one_vs_one, gaussian_blobs,
@@ -117,7 +118,6 @@ class TestTrainBinary:
         model = train_binary(blobs2, TrainConfig(epochs=30, seed=4))
         x = blobs2.instances[0][0]
         margins = model.margins(x)
-        assert model.signed_margin(x) == margins[1]
         assert margins[0] == -margins[1]
 
 
@@ -126,15 +126,15 @@ class TestPredictMargins:
         model = LinearModel(weights=np.array([[1.0, 2.0], [3.0, 4.0]]),
                             biases=np.array([0.5, -0.25]),
                             categories=("a", "b"))
-        margins = predict_margins(model, FeatureVector({}, 2))
+        margins = model.margins(FeatureVector({}, 2))
         assert list(margins) == [0.5, -0.25]
 
     def test_dominant_row_wins(self):
         model = LinearModel(weights=np.array([[1.0, 1.0], [2.0, 2.0]]),
                             biases=np.zeros(2), categories=("a", "b"))
         x = fv(1.0, 1.0)
-        assert predict_margins(model, x)[1] > 0
-        assert predict(model, x) == 1
+        assert model.margins(x)[1] > 0
+        assert model.predict(x) == 1
 
     def test_hand_computed_dot_products(self):
         model = LinearModel(weights=np.array([[2.0, -1.0], [0.5, 3.0]]),
@@ -142,13 +142,13 @@ class TestPredictMargins:
                             categories=("a", "b"))
         x = fv(3.0, 4.0)
         # by hand: 2*3 - 1*4 + 1 = 3 ; 0.5*3 + 3*4 - 2 = 11.5
-        assert list(predict_margins(model, x)) == [3.0, 11.5]
+        assert list(model.margins(x)) == [3.0, 11.5]
 
     def test_unknown_feature_ids_dropped(self):
         model = LinearModel(weights=np.array([[1.0], [2.0]]),
                             biases=np.zeros(2), categories=("a", "b"))
         x = FeatureVector({0: 1.0, 9: 100.0}, 10)
-        assert list(predict_margins(model, x)) == [1.0, 2.0]
+        assert list(model.margins(x)) == [1.0, 2.0]
 
     def test_argmax_invariant_to_positive_scaling(self, blobs3):
         model = train_native(blobs3, TrainConfig(epochs=20, seed=5))
@@ -161,7 +161,7 @@ class TestPredictMargins:
     def test_tie_breaks_to_lowest_id(self):
         model = LinearModel(weights=np.zeros((3, 1)), biases=np.zeros(3),
                             categories=("a", "b", "c"))
-        assert predict(model, fv(1.0)) == 0
+        assert model.predict(fv(1.0)) == 0
 
 
 class TestOneVsAll:
@@ -241,7 +241,7 @@ class TestOneVsOne:
         x = blobs3.instances[0][0]
         expected = np.zeros(3)
         for (a, b), sub in zip(model.pairs, model.models):
-            s = sub.signed_margin(x)
+            s = sub.margins(x)[1]
             expected[b] += s
             expected[a] -= s
         assert np.allclose(model.margins(x), expected)
@@ -444,6 +444,46 @@ class TestSerialization:
     def test_unknown_kind_named(self):
         with pytest.raises(ValueError, match="'two-step'"):
             model_from_json('{"format": "folkclass-model/1", "kind": "two-step"}')
+
+
+class TestModelDocumentValidation:
+    LINEAR = {"format": "folkclass-model/1", "kind": "linear",
+              "categories": ["a", "b"], "weights": [[0.0], [1.0]], "biases": [0.0, 0.0]}
+
+    def _doc(self, drop=(), **extra):
+        doc = {k: v for k, v in self.LINEAR.items() if k not in drop}
+        return json.dumps({**doc, **extra})
+
+    def test_complete_document_loads(self):
+        assert model_from_json(self._doc()).categories == ("a", "b")
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            model_from_json(text)
+
+    @pytest.mark.parametrize("key", ["weights", "biases", "categories"])
+    def test_missing_linear_key_named(self, key):
+        with pytest.raises(ValueError, match=f"no '{key}'"):
+            model_from_json(self._doc(drop=(key,)))
+
+    def test_every_missing_key_named(self):
+        with pytest.raises(ValueError, match="no 'weights', 'biases'"):
+            model_from_json(self._doc(drop=("weights", "biases")))
+
+    def test_missing_one_vs_one_keys_named(self):
+        text = json.dumps({"format": "folkclass-model/1", "kind": "one-vs-one",
+                           "categories": ["a", "b"]})
+        with pytest.raises(ValueError, match="no 'pairs', 'sub_models'"):
+            model_from_json(text)
+
+    def test_sub_model_checked(self):
+        text = json.dumps({"format": "folkclass-model/1", "kind": "one-vs-one",
+                           "categories": ["a", "b"], "pairs": [[0, 1]],
+                           "sub_models": [{"categories": ["a", "b"],
+                                           "weights": [[0.0], [1.0]]}]})
+        with pytest.raises(ValueError, match="no 'biases'"):
+            model_from_json(text)
 
 
 class TestConfigValidation:

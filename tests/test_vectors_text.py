@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from folkclass.errors import MalformedRecordError
 from folkclass.porter import stem
 from folkclass.representation import (TextPipelineConfig, load_stopwords,
                                       represent_text, tokenize)
@@ -153,3 +154,42 @@ class TestVectorLines:
     def test_dim_inferred(self):
         back = read_vector_lines(["r1\t7:2.5"])
         assert back["r1"].dim == 8
+
+
+# keys and labels: no whitespace or line-breaking characters
+_TOKEN = st.text(st.characters(codec="ascii", categories=("L", "N", "P", "S")),
+                 min_size=1, max_size=8)
+_WEIGHT = st.floats(allow_nan=False, allow_infinity=False).filter(lambda w: w != 0.0)
+
+
+class TestVectorLineCodec:
+    @given(st.dictionaries(
+        _TOKEN, st.dictionaries(st.integers(0, 49), _WEIGHT, max_size=6), max_size=6))
+    def test_round_trip(self, raw):
+        vectors = {key: FeatureVector(entries, 50) for key, entries in raw.items()}
+        assert read_vector_lines(list(write_vector_lines(vectors)), 50) == vectors
+
+    def test_bad_value_names_line(self):
+        with pytest.raises(MalformedRecordError) as err:
+            read_vector_lines(["r1\t0:1.0 1:x"])
+        assert err.value.line_number == 1
+        assert "1:x" in str(err.value)
+        assert isinstance(err.value, ValueError)
+
+    def test_line_without_tab_names_line(self):
+        with pytest.raises(MalformedRecordError) as err:
+            read_vector_lines(["r1\t0:1.0", "", "r3 0:1.0"])
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("pair", ["2.5", "x:1.0", ":1.0", "0:"])
+    def test_bad_pair_rejected(self, pair):
+        with pytest.raises(MalformedRecordError, match="line 2"):
+            read_vector_lines(["r1\t0:1.0", f"r2\t{pair}"])
+
+    def test_repeated_id_names_line(self):
+        with pytest.raises(MalformedRecordError, match="line 1"):
+            read_vector_lines(["r1\t0:1.0 0:2.0"])
+
+    def test_blank_lines_skipped(self):
+        back = read_vector_lines(["", "r1\t0:1.0", "   ", "r2\t"], 2)
+        assert back == {"r1": FeatureVector({0: 1.0}, 2), "r2": FeatureVector({}, 2)}

@@ -11,8 +11,9 @@ from folkclass.generator import RegimeConfig, generate
 from folkclass.representation import (RepresentationScheme, represent_resource,
                                       tag_vocabulary)
 from folkclass.weighting import (InverseFrequencyKind, correlate_weightings,
-                                 fractional_ranks, inverse_frequency, pearson,
-                                 spearman, weight_resource)
+                                 fractional_ranks, inverse_frequency, member_name,
+                                 parse_member, pearson, spearman, vectorize,
+                                 weight_resource)
 
 from conftest import brute_force_frequencies, random_bookmarks
 
@@ -108,6 +109,34 @@ class TestWeightResource:
             rescaled = {fid: w * scale for fid, w in fv.entries.items()}
             base2 = sorted(rescaled, key=lambda fid: (-rescaled[fid], fid))
             assert natural == base2
+
+
+class TestMembers:
+    @pytest.mark.parametrize("name", ["tf", "tf-irf", "tf-iuf", "tf-ibf",
+                                      "weighted-fta", "fractions-top5", "ranks-top10"])
+    def test_name_round_trip(self, name):
+        assert member_name(parse_member(name)) == name
+
+    def test_kinds_and_schemes(self):
+        assert parse_member("tf") is InverseFrequencyKind.NONE
+        assert parse_member("tf-none") is InverseFrequencyKind.NONE
+        assert parse_member("tf-irf") is IRF
+        assert parse_member("ranks-top10") == RepresentationScheme.parse("ranks-top10")
+
+    @pytest.mark.parametrize("name", ["tf-", "tf-xyz", "bogus-fta"])
+    def test_unknown_names_rejected(self, name):
+        with pytest.raises(ValueError):
+            parse_member(name)
+
+    def test_vectorize_dispatches_by_member(self):
+        f = ingest_bookmarks(random_bookmarks(np.random.default_rng(3)))
+        vocab = tag_vocabulary(f)
+        resources = sorted(f.resource_tag_weights)[:5]
+        scheme = RepresentationScheme.parse("fractions-fta")
+        assert vectorize(f, scheme, vocab, resources) == {
+            r: represent_resource(f, r, scheme, vocab) for r in resources}
+        assert vectorize(f, IRF, vocab, resources) == {
+            r: weight_resource(f, r, IRF, vocab) for r in resources}
 
 
 class TestPearson:
