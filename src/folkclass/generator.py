@@ -12,7 +12,11 @@ regimes coincide when the acceptance probability is 0):
                      preference distribution
 
 A user's preference distribution is a power law over a per-user random
-permutation of the global tag pool.
+permutation of the global tag pool.  A preference draw is an inverse-CDF
+search: one uniform draw located in the power law's cumulative sum, which
+is built once per call the way `Generator.choice(p=...)` builds it.  It
+reproduces `choice` draw for draw, so seeded corpora are unchanged, and
+costs a binary search per draw instead of a pass over the pool.
 """
 
 from __future__ import annotations
@@ -67,6 +71,9 @@ def generate_bookmarks(cfg: RegimeConfig) -> list[Bookmark]:
     ranks = np.arange(1, cfg.pool_size + 1, dtype=float)
     preference = ranks ** -cfg.zipf_exponent
     preference /= preference.sum()
+    # Built as Generator.choice(p=preference) builds it, so draws match choice's.
+    cdf = preference.cumsum()
+    cdf /= cdf[-1]
 
     resource_tags: dict[str, list[str]] = {}     # multiset of tags per resource
     resource_next_order: dict[str, int] = {}
@@ -97,7 +104,8 @@ def generate_bookmarks(cfg: RegimeConfig) -> list[Bookmark]:
                 if accepted:
                     tag = suggestions[int(rng.integers(len(suggestions)))]
                 else:
-                    tag = pool[permutation[int(rng.choice(cfg.pool_size, p=preference))]]
+                    rank = int(cdf.searchsorted(rng.random(), side="right"))
+                    tag = pool[permutation[rank]]
                 if tag not in tags:
                     tags.append(tag)
             order = resource_next_order.get(resource, 0)

@@ -8,6 +8,8 @@ or two letters are returned unchanged.
 
 from __future__ import annotations
 
+from functools import cache
+
 __all__ = ["stem"]
 
 _VOWELS = frozenset("aeiou")
@@ -157,8 +159,9 @@ def _step5b(word: str) -> str:
     return word
 
 
+@cache
 def stem(word: str) -> str:
-    """Stem one lowercase word."""
+    """Stem one lowercase word (memoized per process)."""
     if len(word) <= 2:
         return word
     word = _step1a(word)

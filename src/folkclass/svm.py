@@ -449,12 +449,58 @@ def _require_keys(doc, keys: Sequence[str], what: str) -> None:
         raise ValueError(f"{what} has no {', '.join(missing)}")
 
 
+def _categories_from_doc(doc: dict, what: str) -> tuple[str, ...]:
+    categories = doc["categories"]
+    if not (isinstance(categories, list) and all(isinstance(c, str) for c in categories)):
+        raise ValueError(f"{what} 'categories' is not a list of strings")
+    return tuple(categories)
+
+
+def _floats_from_doc(doc: dict, key: str, ndim: int, rows: int, shape: str) -> np.ndarray:
+    """`doc[key]` as a float array of `ndim` dimensions and `rows` rows."""
+    try:
+        values = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or values.ndim != ndim or len(values) != rows:
+        raise ValueError(f"linear model {key!r} is not {shape}")
+    return values
+
+
 def _linear_from_doc(doc: dict) -> LinearModel:
     _require_keys(doc, ("weights", "biases", "categories"), "linear model")
-    return LinearModel(weights=np.array(doc["weights"], dtype=float),
-                       biases=np.array(doc["biases"], dtype=float),
-                       categories=tuple(doc["categories"]),
+    categories = _categories_from_doc(doc, "linear model")
+    k = len(categories)
+    weights = _floats_from_doc(doc, "weights", 2, k, f"a 2-D list of {k} rows")
+    biases = _floats_from_doc(doc, "biases", 1, k, f"a list of {k} numbers")
+    return LinearModel(weights=weights, biases=biases, categories=categories,
                        meta=doc.get("meta", {}))
+
+
+def _one_vs_one_from_doc(doc: dict) -> OneVsOneModel:
+    _require_keys(doc, ("categories", "pairs", "sub_models"), "one-vs-one model")
+    categories = _categories_from_doc(doc, "one-vs-one model")
+    pairs, sub_docs = doc["pairs"], doc["sub_models"]
+    if not isinstance(pairs, list):
+        raise ValueError("one-vs-one model 'pairs' is not a list")
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
+                and all(type(c) is int and 0 <= c < len(categories) for c in pair)):
+            raise ValueError(f"one-vs-one model 'pairs' entry {pair!r} is not two "
+                             f"distinct ids in 0..{len(categories) - 1}")
+    if not (isinstance(sub_docs, list) and len(sub_docs) == len(pairs)):
+        raise ValueError(f"one-vs-one model 'sub_models' is not a list of "
+                         f"{len(pairs)} models, one per pair")
+    models = tuple(_linear_from_doc(s) for s in sub_docs)
+    for (a, b), m in zip(pairs, models):
+        if m.categories != (categories[a], categories[b]):
+            raise ValueError(f"one-vs-one sub-model categories {list(m.categories)} "
+                             f"do not match pair {[a, b]}")
+    if len({m.weights.shape[1] for m in models}) > 1:
+        raise ValueError("one-vs-one sub-models differ in feature dimensionality")
+    return OneVsOneModel(categories=categories,
+                         pairs=tuple((a, b) for a, b in pairs),
+                         models=models, meta=doc.get("meta", {}))
 
 
 def model_to_json(model: Model) -> str:
@@ -483,8 +529,4 @@ def model_from_json(text: str) -> Model:
             f"unknown model kind {doc['kind']!r}; expected one of {MODEL_KINDS}")
     if doc["kind"] == "linear":
         return _linear_from_doc(doc)
-    _require_keys(doc, ("categories", "pairs", "sub_models"), "one-vs-one model")
-    return OneVsOneModel(categories=tuple(doc["categories"]),
-                         pairs=tuple((p[0], p[1]) for p in doc["pairs"]),
-                         models=tuple(_linear_from_doc(s) for s in doc["sub_models"]),
-                         meta=doc.get("meta", {}))
+    return _one_vs_one_from_doc(doc)

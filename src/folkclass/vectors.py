@@ -148,8 +148,19 @@ def write_vector_lines(vectors: Mapping[str, FeatureVector]) -> Iterable[str]:
 
 def read_vector_lines(lines: Iterable[str],
                       dim: int | None = None) -> dict[str, FeatureVector]:
-    """Parse vector lines; infers dimensionality as max id + 1 when not given."""
-    parsed = [(key, pairs) for _, key, pairs in read_pair_lines(lines, int)]
+    """Parse vector lines; infers dimensionality as max id + 1 when not given.
+
+    A negative feature id, or one >= `dim` when `dim` is given, raises
+    MalformedRecordError naming its line.
+    """
+    parsed = []
+    for line_number, key, pairs in read_pair_lines(lines, int):
+        if pairs and min(pairs) < 0:
+            raise MalformedRecordError(line_number, f"negative feature id {min(pairs)}")
+        if pairs and dim is not None and max(pairs) >= dim:
+            raise MalformedRecordError(
+                line_number, f"feature id {max(pairs)} outside dimensionality {dim}")
+        parsed.append((key, pairs))
     if dim is None:
         dim = max((max(e) for _, e in parsed if e), default=-1) + 1
     return {key: FeatureVector.from_items(entries.items(), dim)

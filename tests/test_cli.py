@@ -332,6 +332,65 @@ class TestMalformedFiles:
         assert "line 2" in capsys.readouterr().err
 
 
+_LINEAR = {"format": "folkclass-model/1", "kind": "linear",
+           "categories": ["cat0", "cat1"], "weights": [[0.0], [1.0]],
+           "biases": [0.0, 0.0]}
+_PAIRWISE = {"format": "folkclass-model/1", "kind": "one-vs-one",
+             "categories": ["cat0", "cat1", "cat2"], "pairs": [[0, 1], [0, 2], [1, 2]],
+             "sub_models": [{"categories": [a, b], "weights": [[0.0], [1.0]],
+                             "biases": [0.0, 0.0]}
+                            for a, b in (("cat0", "cat1"), ("cat0", "cat2"),
+                                         ("cat1", "cat2"))]}
+
+
+class TestModelDocumentShapes:
+    @pytest.mark.parametrize("doc,field", [
+        ({**_LINEAR, "categories": 5}, "categories"),
+        ({**_LINEAR, "weights": [0.0, 1.0]}, "weights"),
+        ({**_LINEAR, "weights": [[0.0]]}, "weights"),
+        ({**_LINEAR, "biases": [0.0]}, "biases"),
+        ({**_PAIRWISE, "pairs": [[0, 1], [0], [1, 2]]}, "pairs"),
+        ({**_PAIRWISE, "pairs": [[0, 1], [2, 2], [1, 2]]}, "pairs"),
+        ({**_PAIRWISE, "pairs": [[0, 1], [0, 7], [1, 2]]}, "pairs"),
+        ({**_PAIRWISE, "sub_models": _PAIRWISE["sub_models"][:2]}, "sub_models"),
+    ], ids=["categories-int", "weights-1d", "weights-rows", "biases-length",
+            "pair-one-id", "pair-not-distinct", "pair-out-of-range",
+            "sub-model-count"])
+    def test_bad_field_named_without_traceback(self, tmp_path, capsys, doc, field):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("folkclass: error: ") and err.count("\n") == 1
+        assert f"'{field}'" in err and "Traceback" not in err
+
+
+class TestFeatureIdsChecked:
+    def test_negative_id_names_line(self, tmp_path, capsys):
+        _, _, labels_path, _ = write_corpus(tmp_path)
+        vectors = tmp_path / "bad.tsv"
+        vectors.write_text("r000\t0:1.0\nr001\t-3:1.0\n")
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--model-out", tmp_path / "m.json"]) == 1
+        err = capsys.readouterr().err
+        assert err == "folkclass: error: line 2: negative feature id -3\n"
+
+    def test_unlabeled_id_outside_training_vocabulary_names_line(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        unlabeled = tmp_path / "unlabeled.tsv"
+        unlabeled.write_text("u0\t0:1.0\n\nu2\t99999:1.0\n")
+        model = tmp_path / "m.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--self-train", "--unlabeled-vectors", unlabeled,
+                    "--model-out", model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("folkclass: error: line 3: feature id 99999 outside "
+                              "dimensionality ") and err.count("\n") == 1
+        assert not model.exists()
+
+
 class TestIgnoredOptionsRejected:
     def test_unlabeled_vectors_need_self_train(self, tmp_path, capsys):
         _, _, labels_path, vectors = write_corpus(tmp_path)

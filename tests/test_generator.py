@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from folkclass.folksonomy import ingest_bookmarks, novelty_ratios
 from folkclass.generator import REGIMES, RegimeConfig, generate, generate_bookmarks
@@ -99,3 +101,21 @@ class TestGeneratedCorpora:
         res = generate(RegimeConfig(regime="resource-based", **base))
         none = generate(RegimeConfig(regime="none", **base))
         assert mean_novelty(res) < mean_novelty(none)
+
+
+class TestPreferenceDraw:
+    """The generator's inverse-CDF search is `Generator.choice(p=...)` draw for draw."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool_size=st.integers(1, 5000), exponent=st.floats(0.3, 2.0),
+           seed=st.integers(0, 2**64 - 1))
+    def test_cdf_search_equals_choice(self, pool_size, exponent, seed):
+        preference = np.arange(1, pool_size + 1, dtype=float) ** -exponent
+        preference /= preference.sum()
+        cdf = preference.cumsum()
+        cdf /= cdf[-1]
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(40):
+            searched = int(cdf.searchsorted(rng_a.random(), side="right"))
+            assert searched == int(rng_b.choice(pool_size, p=preference))
+        assert rng_a.random() == rng_b.random()

@@ -15,6 +15,8 @@ build, re-record them by running `golden_outputs` on a known-good commit.
 import hashlib
 import json
 
+import pytest
+
 from folkclass.cli import main
 from folkclass.harness import format_flat_config
 from folkclass.svm import SCHEMES
@@ -106,6 +108,25 @@ GOLDEN_SHA256 = {
         "c61da95f6213693c5664e13d3c8ca342211147fa3747bb94ceaf0e6d0091a8ee",
 }
 
+# `gen` at benchmark scale (pool 5000, acceptance 0.8, 300 users, 150
+# resources, seed 7) in every regime at two Zipf exponents, recorded before
+# preference draws became an inverse-CDF search, so they pin that search to
+# the stream `Generator.choice(p=...)` consumed.
+GEN_SHA256 = {
+    ("resource-based", "1.0"):
+        "ac410b1fdd77296f37d89fec53565107325d0adc1929a205872ca93cae6a2fff",
+    ("resource-based", "1.5"):
+        "9672c10f5237b06e2d7c305768bb355849eae0ce31c17c6051f5eae39074f69d",
+    ("personomy-based", "1.0"):
+        "626a7ee43722ed05ee2c3c2fec26cf7acd99137d1c55d73aad7c254a6a563cca",
+    ("personomy-based", "1.5"):
+        "7459f6d184fd368f05722b8b941007235c5f81cc8ae8f6369143221200991128",
+    ("none", "1.0"):
+        "1ff6130802e7179a6e7de4ed50f823fc50442481ee2ce84b65ae075a1c245794",
+    ("none", "1.5"):
+        "17260bb360e83b7435e9d87bbbc278260d947aedd5ec7efbf5ddd33fef01bcbe",
+}
+
 
 def _run(*argv):
     assert main([str(a) for a in argv]) == 0, argv
@@ -173,3 +194,12 @@ def test_outputs_match_recorded_digests(tmp_path):
     changed = sorted(name for name in digests.keys() | GOLDEN_SHA256.keys()
                      if digests.get(name) != GOLDEN_SHA256.get(name))
     assert changed == []
+
+
+@pytest.mark.parametrize("regime,zipf", sorted(GEN_SHA256))
+def test_benchmark_scale_gen_matches_recorded_digest(tmp_path, regime, zipf):
+    out = tmp_path / "bookmarks.jsonl"
+    _run("gen", "--regime", regime, "--users", 300, "--resources", 150,
+         "--pool", 5000, "--acceptance", 0.8, "--zipf", zipf, "--seed", 7,
+         "-o", out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_SHA256[regime, zipf]

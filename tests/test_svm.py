@@ -449,6 +449,11 @@ class TestSerialization:
 class TestModelDocumentValidation:
     LINEAR = {"format": "folkclass-model/1", "kind": "linear",
               "categories": ["a", "b"], "weights": [[0.0], [1.0]], "biases": [0.0, 0.0]}
+    ONE_VS_ONE = {"format": "folkclass-model/1", "kind": "one-vs-one",
+                  "categories": ["a", "b", "c"], "pairs": [[0, 1], [0, 2], [1, 2]],
+                  "sub_models": [{"categories": [x, y], "weights": [[0.0], [1.0]],
+                                  "biases": [0.0, 0.0]}
+                                 for x, y in (("a", "b"), ("a", "c"), ("b", "c"))]}
 
     def _doc(self, drop=(), **extra):
         doc = {k: v for k, v in self.LINEAR.items() if k not in drop}
@@ -484,6 +489,55 @@ class TestModelDocumentValidation:
                                            "weights": [[0.0], [1.0]]}]})
         with pytest.raises(ValueError, match="no 'biases'"):
             model_from_json(text)
+
+    def test_complete_one_vs_one_document_loads(self):
+        model = model_from_json(json.dumps(self.ONE_VS_ONE))
+        assert model.pairs == ((0, 1), (0, 2), (1, 2))
+
+    @pytest.mark.parametrize("field,value", [
+        ("categories", 5), ("categories", ["a", 1]), ("categories", "ab"),
+        ("weights", [0.0, 1.0]), ("weights", [[0.0]]), ("weights", [[0.0], [1.0, 2.0]]),
+        ("weights", {"a": 1}), ("biases", [0.0]), ("biases", [[0.0], [0.0]]),
+        ("biases", 0.0)],
+        ids=["categories-int", "categories-mixed", "categories-str", "weights-1d",
+             "weights-rows", "weights-ragged", "weights-object", "biases-length",
+             "biases-2d", "biases-scalar"])
+    def test_linear_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' is not"):
+            model_from_json(self._doc(**{field: value}))
+
+    @pytest.mark.parametrize("pairs", [[[0, 1], [0], [1, 2]], [[0, 1], [0, 2], [1, 1]],
+                                       [[0, 1], [0, 3], [1, 2]], [[0, 1], [0, -1], [1, 2]],
+                                       [[0, 1], [0, True], [1, 2]], [[0, 1], "02", [1, 2]]],
+                             ids=["one-id", "not-distinct", "out-of-range", "negative",
+                                  "bool", "string"])
+    def test_bad_pair_entry_named(self, pairs):
+        with pytest.raises(ValueError, match="'pairs' entry .* is not two distinct ids"):
+            model_from_json(json.dumps({**self.ONE_VS_ONE, "pairs": pairs}))
+
+    def test_pairs_not_a_list(self):
+        with pytest.raises(ValueError, match="'pairs' is not a list"):
+            model_from_json(json.dumps({**self.ONE_VS_ONE, "pairs": 3}))
+
+    def test_sub_model_count_must_match_pairs(self):
+        doc = {**self.ONE_VS_ONE, "sub_models": self.ONE_VS_ONE["sub_models"][:2]}
+        with pytest.raises(ValueError, match="'sub_models' is not a list of 3 models"):
+            model_from_json(json.dumps(doc))
+
+    def test_one_vs_one_categories_checked(self):
+        with pytest.raises(ValueError, match="'categories' is not a list of strings"):
+            model_from_json(json.dumps({**self.ONE_VS_ONE, "categories": 3}))
+
+    def test_sub_model_categories_must_match_pair(self):
+        doc = {**self.ONE_VS_ONE, "pairs": [[0, 1], [1, 2], [0, 2]]}
+        with pytest.raises(ValueError, match=r"do not match pair \[1, 2\]"):
+            model_from_json(json.dumps(doc))
+
+    def test_sub_model_dimensionalities_must_agree(self):
+        subs = [dict(m) for m in self.ONE_VS_ONE["sub_models"]]
+        subs[2]["weights"] = [[0.0, 0.0], [1.0, 1.0]]
+        with pytest.raises(ValueError, match="differ in feature dimensionality"):
+            model_from_json(json.dumps({**self.ONE_VS_ONE, "sub_models": subs}))
 
 
 class TestConfigValidation:

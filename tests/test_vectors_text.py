@@ -140,6 +140,11 @@ class TestPorterStemmer:
         out = stem(word)
         assert len(out) <= len(word)
 
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=14))
+    def test_memoized_stem_equals_uncached(self, word):
+        first = stem(word)               # computed here or cached earlier
+        assert first == stem(word) == stem.__wrapped__(word)
+
 
 class TestVectorLines:
     def test_round_trip_full_precision(self):
@@ -189,6 +194,18 @@ class TestVectorLineCodec:
     def test_repeated_id_names_line(self):
         with pytest.raises(MalformedRecordError, match="line 1"):
             read_vector_lines(["r1\t0:1.0 0:2.0"])
+
+    def test_negative_id_names_line(self):
+        with pytest.raises(MalformedRecordError) as err:
+            read_vector_lines(["r1\t0:1.0", "r2\t1:1.0 -3:2.0"])
+        assert err.value.line_number == 2
+        assert "negative feature id -3" in str(err.value)
+
+    def test_id_outside_given_dim_names_line(self):
+        with pytest.raises(MalformedRecordError) as err:
+            read_vector_lines(["r1\t0:1.0", "", "r3\t4:1.0 5:1.0"], 5)
+        assert err.value.line_number == 3
+        assert "feature id 5 outside dimensionality 5" in str(err.value)
 
     def test_blank_lines_skipped(self):
         back = read_vector_lines(["", "r1\t0:1.0", "   ", "r2\t"], 2)
