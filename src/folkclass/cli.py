@@ -8,6 +8,7 @@ error (diagnostic on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Iterable, Sequence
@@ -20,24 +21,32 @@ from . import svm
 from .committees import (MarginTable, combine, predict_committee_batch,
                          read_margin_lines, write_margin_lines)
 from .errors import ToolkitError
-from .folksonomy import (DEFAULT_READING_STATE_TAGS, Folksonomy, bookmark_to_line,
-                         corpus_statistics, ingest_bookmarks, label_map,
-                         novelty_ratios, parse_bookmark_lines,
+from .folksonomy import (DEFAULT_READING_STATE_TAGS, LEVELS, Folksonomy,
+                         bookmark_to_line, corpus_statistics, ingest_bookmarks,
+                         label_map, novelty_ratios, parse_bookmark_lines,
                          parse_category_lines, strip_reading_state)
 from .generator import REGIMES, RegimeConfig, generate_bookmarks
-from .harness import (ExperimentSpec, parse_flat_config, run_experiment,
-                      run_topk_sweep)
+from .harness import (parse_flat_config, run_experiment, run_topk_sweep,
+                      sweep_from_config)
 from .representation import RepresentationScheme, load_stopwords, tag_vocabulary
 from .svm import LabeledDataset, TrainConfig
 from .vectors import FeatureVector, read_vector_lines, write_vector_lines
-from .weighting import (InverseFrequencyKind, correlate_weightings, parse_member,
-                        vectorize)
+from .weighting import InverseFrequencyKind, correlate_weightings, vectorize
 
 __all__ = ["main"]
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    # "\n" only: str.splitlines() would also split at U+0085, U+2028 and
+    # U+2029, which bookmark_to_line writes raw inside a tag
+    return Path(path).read_text(encoding="utf-8").split("\n")
+
+
+def _config(cls, args):
+    """`cls` from the options the user set; an unset option keeps its default."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{name: tuple(value) if isinstance(value, list) else value
+                  for name, value in vars(args).items() if name in fields})
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -57,11 +66,11 @@ def _write_tsv(lines: Iterable[str], path: str | None) -> None:
 
 def _load_folksonomy(args) -> Folksonomy:
     stream = parse_bookmark_lines(_read_lines(args.bookmarks))
-    if args.strip_reading_state:
-        blocked = DEFAULT_READING_STATE_TAGS
-        if args.blocked_tags:
-            blocked = load_stopwords(_read_lines(args.blocked_tags))
+    if args.blocked_tags:     # main() has checked --strip-reading-state
+        blocked = load_stopwords(_read_lines(args.blocked_tags))
         stream = strip_reading_state(stream, blocked)
+    elif args.strip_reading_state:
+        stream = strip_reading_state(stream)
     return ingest_bookmarks(stream)
 
 
@@ -92,7 +101,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_vectors(args) -> int:   # represent and weight
     f = _load_folksonomy(args)
-    if args.correlate:
+    if getattr(args, "correlate", False):    # weight only
         _write_json({"meta": {"kind": "correlation"},
                      "correlation": correlate_weightings(f)}, args.output)
         return 0
@@ -128,9 +137,7 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
 def _cmd_train(args) -> int:
     vectors = read_vector_lines(_read_lines(args.vectors))
     ds, _ = _labeled_dataset(vectors, args.labels, args.level)
-    cfg = TrainConfig(penalty=args.penalty, epochs=args.epochs,
-                      seed=args.seed if args.seed is not None else 0,
-                      scheme=args.scheme)
+    cfg = _config(TrainConfig, args)
     report: dict = {"meta": {"kind": "train", "config": dict(cfg.__dict__),
                              "n_instances": len(ds),
                              "categories": ds.categories}}
@@ -206,181 +213,122 @@ def _cmd_behavior(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = RegimeConfig(
-        regime=args.regime, n_users=args.users, n_resources=args.resources,
-        bookmarks_per_user=tuple(args.bookmarks_per_user),
-        tags_per_bookmark=tuple(args.tags_per_bookmark),
-        pool_size=args.pool, acceptance=args.acceptance,
-        zipf_exponent=args.zipf,
-        seed=args.seed if args.seed is not None else 0)
-    lines = [bookmark_to_line(b) for b in generate_bookmarks(cfg)]
+    lines = [bookmark_to_line(b) for b in generate_bookmarks(_config(RegimeConfig, args))]
     _write_tsv(lines, args.output)
     return 0
 
 
-SWEEP_KEYS = ("member", "sizes", "runs", "base_seed", "level", "penalty", "epochs",
-              "svm_scheme", "test_fraction", "min_df", "mode", "k_values",
-              "committee")
-
-
 def _cmd_sweep(args) -> int:
-    config = parse_flat_config(_read_lines(args.config))
-    unknown = sorted(set(config) - set(SWEEP_KEYS))
-    if unknown:
-        raise ToolkitError(
-            f"{args.config}: unknown config key(s) {', '.join(unknown)}; "
-            f"accepted keys: {', '.join(SWEEP_KEYS)}")
+    try:
+        spec, k_values = sweep_from_config(parse_flat_config(_read_lines(args.config)))
+    except ValueError as exc:
+        raise ToolkitError(f"{args.config}: {exc}") from exc
+    if "seed" in args:
+        spec = dataclasses.replace(spec, base_seed=args.seed)
     f = _load_folksonomy(args)
     labels = list(parse_category_lines(_read_lines(args.labels)))
-    train_cfg = TrainConfig(
-        penalty=float(config.get("penalty", "1.0")),
-        epochs=int(config.get("epochs", "100")),
-        scheme=config.get("svm_scheme", "native"),
-    )
-    committee = None
-    if "committee" in config:
-        committee = tuple(parse_member(m.strip())
-                          for m in config["committee"].split(","))
-    spec = ExperimentSpec(
-        member=parse_member(config.get("member", "weighted-fta")),
-        train=train_cfg,
-        sizes=tuple(int(s) for s in config.get("sizes", "50").split(",")),
-        runs=int(config.get("runs", "6")),
-        base_seed=args.seed if args.seed is not None
-        else int(config.get("base_seed", "0")),
-        level=config.get("level", "top"),
-        committee=committee,
-        test_fraction=float(config.get("test_fraction", "0.4")),
-        min_df_fraction=float(config.get("min_df", "0.0")),
-    )
-    if config.get("mode", "experiment") == "topk":
-        k_values = [int(k) for k in config.get("k_values", "1,5,10").split(",")]
-        report = run_topk_sweep(spec, f, labels, k_values)
-    else:
+    if k_values is None:
         report = run_experiment(spec, f, labels)
+    else:
+        report = run_topk_sweep(spec, f, labels, k_values)
     _write_json(report, args.output)
     return 0
 
 
-def _add_bookmark_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bookmarks", required=True,
-                   help="line-delimited bookmark records (JSON per line)")
-    p.add_argument("--strip-reading-state", action="store_true",
-                   help="drop reading-state tags before ingestion")
-    p.add_argument("--blocked-tags", default=None,
-                   help="file with one blocked tag per line "
-                        "(default: read, currently-reading, to-read)")
-
-
-def _add_seed_arg(p: argparse.ArgumentParser) -> None:
-    # SUPPRESS keeps a pre-subcommand --seed from being clobbered by the default
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                   help="seed for this command (same as the global --seed)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Shared options are defined once, as parents.  An option feeding a config
+    # dataclass defaults to SUPPRESS: left unset, it is absent and the
+    # dataclass default applies, and a --seed before the subcommand survives.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                      help="seed override, before or after the subcommand")
+    bookmarks = argparse.ArgumentParser(add_help=False)
+    bookmarks.add_argument("--bookmarks", required=True,
+                           help="line-delimited bookmark records (JSON per line)")
+    bookmarks.add_argument("--strip-reading-state", action="store_true",
+                           help="drop reading-state tags before ingestion")
+    bookmarks.add_argument("--blocked-tags", default=None,
+                           help="file with one blocked tag per line (default: "
+                                f"{', '.join(sorted(DEFAULT_READING_STATE_TAGS))})")
+    labels = argparse.ArgumentParser(add_help=False)
+    labels.add_argument("--labels", required=True,
+                        help="resource<TAB>top<TAB>second lines")
+    labeled_vectors = argparse.ArgumentParser(add_help=False)
+    labeled_vectors.add_argument("--vectors", required=True)
+    labeled_vectors.add_argument("--level", choices=LEVELS, default="top")
+    vocabulary = argparse.ArgumentParser(add_help=False)
+    vocabulary.add_argument("--min-df", type=float, default=0.0)
+    vocabulary.add_argument("--vocab-out", default=None)
+
     parser = argparse.ArgumentParser(
-        prog="folkclass",
+        prog="folkclass", parents=[seed],
         description="Folksonomy analytics and tag-based resource classification")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="global seed override")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="ingest bookmarks and report counts")
-    _add_bookmark_args(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_ingest)
+    def command(name, func, help, *parents, **kwargs):
+        p = sub.add_parser(name, help=help, parents=parents, **kwargs)
+        p.add_argument("-o", "--output", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("stats", help="corpus-level distribution statistics")
-    _add_bookmark_args(p)
+    command("ingest", _cmd_ingest, "ingest bookmarks and report counts", bookmarks)
+
+    p = command("stats", _cmd_stats, "corpus-level distribution statistics", bookmarks)
     p.add_argument("--novelty", action="store_true",
                    help="include mean tag novelty per bookmark rank")
     p.add_argument("--allow-synthetic-order", action="store_true",
                    help="allow novelty statistics over stream-position ordering")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("represent", help="tag-based resource vectors")
-    _add_bookmark_args(p)
+    p = command("represent", _cmd_vectors, "tag-based resource vectors",
+                bookmarks, vocabulary)
     p.add_argument("--scheme", required=True,
                    help="e.g. ranks-top10, fractions-fta, weighted-top5")
-    p.add_argument("--min-df", type=float, default=0.0)
-    p.add_argument("--vocab-out", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_vectors, correlate=False)
 
-    p = sub.add_parser("weight", help="inverse-frequency weighted vectors")
-    _add_bookmark_args(p)
+    p = command("weight", _cmd_vectors, "inverse-frequency weighted vectors",
+                bookmarks, vocabulary)
     p.add_argument("--kind", choices=[k.value for k in InverseFrequencyKind],
                    default="irf")
-    p.add_argument("--min-df", type=float, default=0.0)
     p.add_argument("--correlate", action="store_true",
                    help="emit correlations between the weighting functions instead")
-    p.add_argument("--vocab-out", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_vectors)
 
-    p = sub.add_parser("train", help="train a multiclass linear classifier")
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--labels", required=True,
-                   help="resource<TAB>top<TAB>second lines")
-    p.add_argument("--level", choices=["top", "second"], default="top")
-    p.add_argument("--scheme", choices=list(svm.SCHEMES), default="native")
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=100)
+    p = command("train", _cmd_train, "train a multiclass linear classifier",
+                labeled_vectors, labels, seed)
+    p.add_argument("--scheme", choices=svm.SCHEMES, default=argparse.SUPPRESS)
+    p.add_argument("--penalty", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
     p.add_argument("--self-train", action="store_true")
     p.add_argument("--unlabeled-vectors", default=None)
     p.add_argument("--model-out", required=True)
-    _add_seed_arg(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="accuracy of a model on labeled vectors")
+    p = command("eval", _cmd_eval, "accuracy of a model on labeled vectors",
+                labeled_vectors, labels)
     p.add_argument("--model", required=True)
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--level", choices=["top", "second"], default="top")
     p.add_argument("--margins-out", default=None,
                    help="write per-instance margins for committee use")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("committee", help="combine margin files")
+    p = command("committee", _cmd_committee, "combine margin files")
     p.add_argument("margins", nargs="+", help="two or more margin files")
     p.add_argument("--no-normalize", action="store_true",
                    help="sum raw margins without per-classifier normalization")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_committee)
 
-    p = sub.add_parser("behavior", help="user tagging-motivation measures")
-    _add_bookmark_args(p)
-    p.add_argument("--measure", choices=list(behavior_mod.MEASURES), default=None)
+    p = command("behavior", _cmd_behavior, "user tagging-motivation measures", bookmarks)
+    p.add_argument("--measure", choices=behavior_mod.MEASURES, default=None)
     p.add_argument("--percent", type=float, default=50.0)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_behavior)
 
-    p = sub.add_parser("gen", help="generate a synthetic bookmark stream")
-    p.add_argument("--regime", choices=list(REGIMES), required=True)
-    p.add_argument("--users", type=int, default=50)
-    p.add_argument("--resources", type=int, default=25)
-    p.add_argument("--pool", type=int, default=200)
-    p.add_argument("--acceptance", type=float, default=0.5)
-    p.add_argument("--zipf", type=float, default=1.0)
-    p.add_argument("--bookmarks-per-user", type=int, nargs=2, default=[5, 10],
-                   metavar=("LO", "HI"))
-    p.add_argument("--tags-per-bookmark", type=int, nargs=2, default=[1, 5],
-                   metavar=("LO", "HI"))
-    _add_seed_arg(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_gen)
+    p = command("gen", _cmd_gen, "generate a synthetic bookmark stream", seed,
+                argument_default=argparse.SUPPRESS)
+    p.add_argument("--regime", choices=REGIMES, required=True)
+    p.add_argument("--users", dest="n_users", type=int)
+    p.add_argument("--resources", dest="n_resources", type=int)
+    p.add_argument("--pool", dest="pool_size", type=int)
+    p.add_argument("--acceptance", type=float)
+    p.add_argument("--zipf", dest="zipf_exponent", type=float)
+    p.add_argument("--bookmarks-per-user", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--tags-per-bookmark", type=int, nargs=2, metavar=("LO", "HI"))
 
-    p = sub.add_parser("sweep", help="run a configured experiment sweep")
-    _add_bookmark_args(p)
-    p.add_argument("--labels", required=True)
+    p = command("sweep", _cmd_sweep, "run a configured experiment sweep",
+                bookmarks, labels, seed)
     p.add_argument("--config", required=True, help="flat key = value file")
-    _add_seed_arg(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 

@@ -19,7 +19,8 @@ from .errors import MalformedRecordError, SyntheticOrderError, UnknownResourceEr
 
 __all__ = [
     "Bookmark", "TagFrequencies", "IngestReport", "Folksonomy",
-    "CategoryAssignment", "label_map", "DEFAULT_READING_STATE_TAGS",
+    "CategoryAssignment", "LEVELS", "check_level", "label_map",
+    "DEFAULT_READING_STATE_TAGS",
     "parse_bookmark_lines", "bookmark_to_line", "strip_reading_state",
     "ingest_bookmarks", "filter_popular", "prune_small_categories",
     "novelty_ratios", "corpus_statistics",
@@ -29,6 +30,14 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_READING_STATE_TAGS = frozenset({"read", "currently-reading", "to-read"})
+
+LEVELS = ("top", "second")     # the category levels of a CategoryAssignment
+
+
+def check_level(level: str) -> None:
+    """Raise ValueError unless `level` is one of LEVELS."""
+    if level not in LEVELS:
+        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,8 @@ class CategoryAssignment:
     second: str | None = None
 
     def at_level(self, level: str) -> str | None:
-        """The category at `level` ('top' or 'second'); None if there is none."""
+        """The category at `level` (one of LEVELS); None if there is none."""
+        check_level(level)
         return self.top if level == "top" else self.second
 
 
@@ -290,8 +300,7 @@ def prune_small_categories(labels: Iterable[CategoryAssignment],
     Resources under a dropped category are removed with it.  Returns the
     surviving assignments plus a removal report.
     """
-    if level not in ("top", "second"):
-        raise ValueError(f"level must be 'top' or 'second', got {level!r}")
+    check_level(level)
     if min_resources < 1:
         raise ValueError(f"min_resources must be >= 1, got {min_resources}")
     labels = list(labels)

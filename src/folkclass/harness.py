@@ -12,22 +12,23 @@ reproduced bit for bit.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .folksonomy import CategoryAssignment, Folksonomy, label_map
+from .folksonomy import CategoryAssignment, Folksonomy, check_level, label_map
 from .representation import RepresentationScheme, Selection, Weighting
 from .svm import LabeledDataset, TrainConfig, train
 from .committees import MarginTable, combine, predict_committee_batch
 from .vectors import build_vocabulary
-from .weighting import Member, member_name, vectorize
+from .weighting import Member, member_name, parse_member, vectorize
 
 __all__ = [
-    "ExperimentSpec", "hash_split", "run_experiment",
-    "run_topk_sweep", "parse_flat_config", "format_flat_config",
+    "ExperimentSpec", "hash_split", "run_experiment", "run_topk_sweep",
+    "SWEEP_KEYS", "sweep_from_config",
+    "parse_flat_config", "format_flat_config",
 ]
 
 
@@ -49,8 +50,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.level not in ("top", "second"):
-            raise ValueError(f"level must be 'top' or 'second', got {self.level!r}")
+        check_level(self.level)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if not self.sizes or any(s < 1 for s in self.sizes):
@@ -218,6 +218,55 @@ def run_topk_sweep(spec: ExperimentSpec, f: Folksonomy,
     }
 
 
+def _list_of(parse):
+    return lambda value: tuple(parse(v.strip()) for v in value.split(","))
+
+
+# Each sweep config key, the field it sets and the value parser: an
+# ExperimentSpec field, a "train." one of its TrainConfig, or the mode and
+# top-K cutoffs that pick the sweep.  A key left out keeps its default.
+SWEEP_KEYS = {
+    "member": ("member", parse_member),
+    "sizes": ("sizes", _list_of(int)),
+    "runs": ("runs", int),
+    "base_seed": ("base_seed", int),
+    "level": ("level", str),
+    "penalty": ("train.penalty", float),
+    "epochs": ("train.epochs", int),
+    "svm_scheme": ("train.scheme", str),
+    "test_fraction": ("test_fraction", float),
+    "min_df": ("min_df_fraction", float),
+    "mode": ("mode", str),
+    "k_values": ("k_values", _list_of(int)),
+    "committee": ("committee", _list_of(parse_member)),
+}
+
+
+def sweep_from_config(config: Mapping[str, str],
+                      ) -> tuple[ExperimentSpec, tuple[int, ...] | None]:
+    """The spec and top-K cutoffs (None in experiment mode) a sweep config sets.
+
+    Unknown keys, a mode other than experiment or topk, and k_values outside
+    topk mode raise ValueError naming them.
+    """
+    unknown = sorted(set(config) - set(SWEEP_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
+                         f"accepted keys: {', '.join(SWEEP_KEYS)}")
+    fields = {SWEEP_KEYS[key][0]: SWEEP_KEYS[key][1](value)
+              for key, value in config.items()}
+    mode = fields.pop("mode", "experiment")
+    if mode not in ("experiment", "topk"):
+        raise ValueError(f"mode = {mode}: expected experiment or topk")
+    k_values = fields.pop("k_values", (1, 5, 10))
+    if "k_values" in config and mode != "topk":
+        raise ValueError(f"k_values = {config['k_values']} needs mode = topk")
+    train_fields = {name.removeprefix("train."): fields.pop(name)
+                    for name in list(fields) if name.startswith("train.")}
+    spec = ExperimentSpec(train=TrainConfig(**train_fields), **fields)
+    return spec, k_values if mode == "topk" else None
+
+
 def parse_flat_config(lines: Iterable[str]) -> dict[str, str]:
     """Parse `key = value` lines; '#' starts a comment, blanks are skipped."""
     out: dict[str, str] = {}
@@ -232,5 +281,11 @@ def parse_flat_config(lines: Iterable[str]) -> dict[str, str]:
     return out
 
 
-def format_flat_config(config: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in config.items())
+def format_flat_config(config: Mapping[str, str]) -> str:
+    """`key = value` lines; ValueError for an entry that would not read back."""
+    lines = [f"{key} = {value}\n" for key, value in config.items()]
+    for line, entry in zip(lines, config.items()):
+        if ("#" in line or len(line.splitlines()) != 1
+                or parse_flat_config([line]) != dict([entry])):
+            raise ValueError(f"config entry {line.strip()!r} would not read back")
+    return "".join(lines)

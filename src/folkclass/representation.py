@@ -130,7 +130,6 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-zA-Z]+")
 
 @dataclass(frozen=True)
 class TextPipelineConfig:
-    lowercase: bool = True
     stopwords: frozenset[str] = field(default_factory=frozenset)
     stem: bool = False
 
@@ -141,10 +140,8 @@ def load_stopwords(lines: Iterable[str]) -> frozenset[str]:
 
 
 def tokenize(text: str, pipeline: TextPipelineConfig) -> list[str]:
-    """Split on non-alphanumeric boundaries, then filter per the pipeline."""
-    tokens = [t for t in _TOKEN_SPLIT.split(text) if t]
-    if pipeline.lowercase:
-        tokens = [t.lower() for t in tokens]
+    """Split on non-alphanumeric boundaries, lowercase, then filter per the pipeline."""
+    tokens = [t.lower() for t in _TOKEN_SPLIT.split(text) if t]
     if pipeline.stopwords:
         tokens = [t for t in tokens if t not in pipeline.stopwords]
     if pipeline.stem:

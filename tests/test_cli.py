@@ -1,10 +1,15 @@
 import json
+import re
 
 import pytest
 
+from folkclass import svm
 from folkclass.cli import main
-from folkclass.folksonomy import bookmark_to_line
-from folkclass.harness import format_flat_config
+from folkclass.folksonomy import (Bookmark, bookmark_to_line, ingest_bookmarks,
+                                  parse_category_lines)
+from folkclass.generator import RegimeConfig, generate_bookmarks
+from folkclass.harness import ExperimentSpec, format_flat_config, run_experiment
+from folkclass.vectors import read_vector_lines
 
 from test_harness import labeled_corpus
 
@@ -419,3 +424,131 @@ class TestIgnoredOptionsRejected:
                     "--strip-reading-state", "--blocked-tags", blocked]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["report"]["distinct_tags"] == 1
+
+
+def write_sweep_inputs(tmp_path, config):
+    f, labels = labeled_corpus(seed=6, n_resources=40)
+    bookmarks = tmp_path / "bookmarks.jsonl"
+    bookmarks.write_text("".join(bookmark_to_line(b) + "\n" for b in f.bookmarks))
+    labels_path = tmp_path / "labels.tsv"
+    labels_path.write_text("".join(f"{a.resource}\t{a.top}\n" for a in labels))
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(format_flat_config(config))
+    return ["sweep", "--bookmarks", bookmarks, "--labels", labels_path,
+            "--config", conf]
+
+
+class TestSweepConfigTyposRejected:
+    @pytest.mark.parametrize("config,named", [
+        ({"mode": "top-k"}, "mode = top-k"),
+        ({"k_values": "1,5"}, "k_values = 1,5"),
+        ({"mode": "experiment", "k_values": "2"}, "k_values = 2"),
+    ])
+    def test_rejected_by_key_and_value(self, tmp_path, capsys, config, named):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {"sizes": "9", "runs": "1", **config})
+        assert run(argv + ["-o", out]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "sweep.conf" in err
+        assert not out.exists()
+
+    def test_topk_mode_takes_k_values(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {
+            "mode": "topk", "k_values": "5,1", "sizes": "9", "runs": "1",
+            "epochs": "5"})
+        assert run(argv + ["-o", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["kind"] == "topk-sweep"
+        assert report["meta"]["k_values"] == [1, 5]
+
+
+# Option strings of every subcommand (and the global ones), as in `--help`.
+CLI_SURFACE = {
+    None: {"-h", "--help", "--seed"},
+    "ingest": {"--bookmarks", "--strip-reading-state", "--blocked-tags"},
+    "stats": {"--bookmarks", "--strip-reading-state", "--blocked-tags",
+              "--novelty", "--allow-synthetic-order"},
+    "represent": {"--bookmarks", "--strip-reading-state", "--blocked-tags",
+                  "--scheme", "--min-df", "--vocab-out"},
+    "weight": {"--bookmarks", "--strip-reading-state", "--blocked-tags",
+               "--kind", "--min-df", "--correlate", "--vocab-out"},
+    "train": {"--vectors", "--labels", "--level", "--scheme", "--penalty",
+              "--epochs", "--self-train", "--unlabeled-vectors", "--model-out",
+              "--seed"},
+    "eval": {"--model", "--vectors", "--labels", "--level", "--margins-out"},
+    "committee": {"--no-normalize"},
+    "behavior": {"--bookmarks", "--strip-reading-state", "--blocked-tags",
+                 "--measure", "--percent"},
+    "gen": {"--regime", "--users", "--resources", "--pool", "--acceptance",
+            "--zipf", "--bookmarks-per-user", "--tags-per-bookmark", "--seed"},
+    "sweep": {"--bookmarks", "--strip-reading-state", "--blocked-tags",
+              "--labels", "--config", "--seed"},
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", list(CLI_SURFACE), ids=str)
+    def test_help_lists_exactly_the_options(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            run([command, "--help"] if command else ["--help"])
+        assert err.value.code == 0
+        options = set(re.findall(r"(?<![\w-])(--?[a-z][a-z-]*)", capsys.readouterr().out))
+        expected = CLI_SURFACE[command]
+        if command:
+            expected = expected | {"-h", "--help", "-o", "--output"}
+        assert options == expected
+
+
+class TestDefaultsAreTheLibrarys:
+    def test_gen_without_sizing_options(self, tmp_path):
+        out = tmp_path / "gen.jsonl"
+        assert run(["gen", "--regime", "none", "-o", out]) == 0
+        expected = [bookmark_to_line(b)
+                    for b in generate_bookmarks(RegimeConfig("none"))]
+        assert out.read_text(encoding="utf-8").splitlines() == expected
+
+    def test_train_without_optimizer_options(self, tmp_path):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--model-out", model, "-o", tmp_path / "train.json"]) == 0
+        fvs = read_vector_lines(vectors.read_text().splitlines())
+        label_of = {a.resource: a.top
+                    for a in parse_category_lines(labels_path.read_text().splitlines())}
+        used = sorted(r for r in fvs if r in label_of)
+        categories = sorted({label_of[r] for r in used})
+        ds = svm.LabeledDataset(
+            [(fvs[r], categories.index(label_of[r])) for r in used], categories,
+            max(fv.dim for fv in fvs.values()))
+        assert model.read_text() == svm.model_to_json(svm.train(ds, svm.TrainConfig()))
+
+    def test_sweep_with_only_the_sizing_keys(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {"sizes": "9", "runs": "1", "epochs": "5"})
+        assert run(argv + ["-o", out]) == 0
+        f, _ = labeled_corpus(seed=6, n_resources=40)
+        labels = parse_category_lines((tmp_path / "labels.tsv").read_text().splitlines())
+        spec = ExperimentSpec(train=svm.TrainConfig(epochs=5), sizes=(9,), runs=1)
+        expected = run_experiment(spec, f, labels)
+        assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    def test_global_seed_sets_the_sweep_base_seed(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {"sizes": "9", "runs": "1", "epochs": "5",
+                                             "base_seed": "3"})
+        assert run(["--seed", "8"] + argv + ["-o", out]) == 0
+        assert json.loads(out.read_text())["meta"]["base_seed"] == 8
+
+
+class TestLineBreaksInsideRecords:
+    def test_bookmark_file_with_unicode_line_separators(self, tmp_path, capsys):
+        marks = [Bookmark("u1", "r1", ("a\u2028b", "c\u0085d")),
+                 Bookmark("u2", "r1", ("a\u2028b", "e\u2029"))]
+        path = tmp_path / "bookmarks.jsonl"
+        path.write_text("".join(bookmark_to_line(b) + "\n" for b in marks),
+                        encoding="utf-8")
+        assert run(["ingest", "--bookmarks", path]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report == ingest_bookmarks(marks).report.as_dict()
+        assert report["distinct_tags"] == 3

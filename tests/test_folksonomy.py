@@ -1,8 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from folkclass.cli import _read_lines
 from folkclass.errors import MalformedRecordError, SyntheticOrderError, UnknownResourceError
 from folkclass.folksonomy import (Bookmark, CategoryAssignment,
                                   corpus_statistics, filter_popular,
@@ -83,6 +87,19 @@ class TestBookmarkParsing:
         b = Bookmark("u1", "r1", ("a", "b"), order=3)
         [parsed] = parse_bookmark_lines([bookmark_to_line(b)])
         assert parsed == b
+
+    # any Unicode text, U+0085, U+2028 and U+2029 included
+    @given(st.lists(st.builds(Bookmark, st.text(max_size=6), st.text(max_size=6),
+                              st.lists(st.text(max_size=6), max_size=4).map(tuple),
+                              st.none() | st.integers(0, 10 ** 9)),
+                    max_size=5))
+    @example([Bookmark("u", "r", ("a\u2028b", "c\u0085", "\u2029"))])
+    def test_file_round_trip_through_the_cli_line_reader(self, marks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bookmarks.jsonl"
+            path.write_text("".join(bookmark_to_line(b) + "\n" for b in marks),
+                            encoding="utf-8")
+            assert list(parse_bookmark_lines(_read_lines(str(path)))) == marks
 
     def test_malformed_json_reports_line_number(self):
         lines = ['{"user": "u", "resource": "r", "tags": []}', "{broken"]
@@ -187,6 +204,11 @@ class TestLabelMap:
 
     def test_at_level(self):
         assert [a.at_level("second") for a in self.LABELS] == ["s1", None, "s3"]
+
+    @pytest.mark.parametrize("level", ["Top", "SECOND", "third", ""])
+    def test_unknown_level_rejected(self, level):
+        with pytest.raises(ValueError, match="level"):
+            label_map([CategoryAssignment("r", "top1", "sec1")], level)
 
 
 class TestNovelty:

@@ -1,5 +1,9 @@
+import string
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from folkclass import harness
 from folkclass.errors import InsufficientDataError
@@ -218,3 +222,27 @@ class TestFlatConfig:
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError):
             parse_flat_config(["just words"])
+
+    @pytest.mark.parametrize("config", [
+        {"k": "a#b"}, {"a=b": "v"}, {"k": " v"}, {"k": "v "}, {" k": "v"},
+        {"#k": "v"}, {"k": "a\nb"}, {"k": "a\rb"}, {"k": "a\u2028b"}])
+    def test_entry_that_reads_back_otherwise_rejected(self, config):
+        with pytest.raises(ValueError):
+            format_flat_config(config)
+
+    @given(st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=4))
+    def test_accepted_config_reads_back_equal(self, config):
+        try:
+            text = format_flat_config(config)
+        except ValueError:
+            return
+        assert parse_flat_config(text.splitlines()) == config
+        assert parse_flat_config(text.split("\n")) == config
+
+    @given(st.dictionaries(
+        st.text(string.ascii_lowercase + "_", min_size=1, max_size=8),
+        st.text(string.ascii_letters + string.digits + " "
+                + string.punctuation.replace("#", ""), max_size=8)
+        .filter(lambda v: v == v.strip()), max_size=4))
+    def test_plain_config_accepted(self, config):
+        assert parse_flat_config(format_flat_config(config).splitlines()) == config

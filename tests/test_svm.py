@@ -1,7 +1,10 @@
 import json
 
+import hypothesis.extra.numpy as npst
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from folkclass.svm import (LabeledDataset, LinearModel, OneVsOneModel,
                            TrainConfig, binary_gradient, binary_objective,
@@ -431,6 +434,32 @@ class TestSerialization:
         assert isinstance(back, OneVsOneModel)
         assert back.pairs == model.pairs
         for x, _ in blobs3.instances[:10]:
+            assert back.predict(x) == model.predict(x)
+
+    @given(st.integers(2, 4), st.integers(1, 6), st.booleans(), st.data())
+    def test_read_back_model_scores_bit_identically(self, k, d, one_vs_one, data):
+        finite = st.floats(-1e6, 1e6)
+
+        def linear(categories):
+            rows = len(categories)
+            return LinearModel(
+                weights=data.draw(npst.arrays(np.float64, (rows, d), elements=finite)),
+                biases=data.draw(npst.arrays(np.float64, (rows,), elements=finite)),
+                categories=categories)
+
+        categories = tuple(f"c{i}" for i in range(k))
+        if one_vs_one:
+            pairs = tuple((a, b) for a in range(k) for b in range(a + 1, k))
+            model = OneVsOneModel(categories, pairs, tuple(
+                linear((categories[a], categories[b])) for a, b in pairs))
+        else:
+            model = linear(categories)
+        back = model_from_json(model_to_json(model))
+        assert type(back) is type(model) and back.categories == model.categories
+        for entries in data.draw(st.lists(st.dictionaries(
+                st.integers(0, d - 1), finite.filter(bool)), min_size=1, max_size=4)):
+            x = FeatureVector(entries, d)
+            assert back.margins(x).tobytes() == model.margins(x).tobytes()
             assert back.predict(x) == model.predict(x)
 
     def test_unknown_format_rejected(self):

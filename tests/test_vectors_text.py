@@ -106,7 +106,7 @@ class TestTextPipeline:
     def test_support_equals_invocab_lowercase_tokens_without_filters(self):
         docs = [["alpha"], ["beta"], ["gamma"], ["delta"]]
         vocab = build_vocabulary(docs, 0.0)
-        cfg = TextPipelineConfig(lowercase=True, stopwords=frozenset(), stem=False)
+        cfg = TextPipelineConfig(stopwords=frozenset(), stem=False)
         fv = represent_text("Alpha BETA unknown", vocab, cfg)
         assert set(fv.entries) == {vocab.id_of("alpha"), vocab.id_of("beta")}
 
