@@ -13,25 +13,24 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import behavior as behavior_mod
-from . import svm
-from .committees import (MarginTable, combine, predict_committee_batch,
-                         read_margin_lines, write_margin_lines)
+from .choices import REGIMES, SCHEMES
 from .errors import ToolkitError
 from .folksonomy import (DEFAULT_READING_STATE_TAGS, LEVELS, Folksonomy,
                          bookmark_to_line, corpus_statistics, ingest_bookmarks,
                          label_map, novelty_ratios, parse_bookmark_lines,
                          parse_category_lines, strip_reading_state)
-from .generator import REGIMES, RegimeConfig, generate_bookmarks
-from .harness import (parse_flat_config, run_experiment, run_topk_sweep,
-                      sweep_from_config)
 from .representation import RepresentationScheme, load_stopwords, tag_vocabulary
-from .svm import LabeledDataset, TrainConfig
 from .vectors import FeatureVector, read_vector_lines, write_vector_lines
 from .weighting import InverseFrequencyKind, correlate_weightings, vectorize
+
+# numpy and the modules built on it (svm, committees, generator, harness) are
+# imported inside the handlers that compute with them, so that the counting
+# subcommands and --help start without loading numpy.
+if TYPE_CHECKING:
+    from .svm import LabeledDataset
 
 __all__ = ["main"]
 
@@ -119,6 +118,8 @@ def _cmd_vectors(args) -> int:   # represent and weight
 def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
                      level: str, categories: Sequence[str] = (),
                      ) -> tuple[LabeledDataset, list[str]]:
+    from .svm import LabeledDataset
+
     label_of = label_map(parse_category_lines(_read_lines(labels_path)), level)
     used = sorted(r for r in vectors if r in label_of)
     if not used:
@@ -135,9 +136,11 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
 
 
 def _cmd_train(args) -> int:
+    from . import svm
+
     vectors = read_vector_lines(_read_lines(args.vectors))
     ds, _ = _labeled_dataset(vectors, args.labels, args.level)
-    cfg = _config(TrainConfig, args)
+    cfg = _config(svm.TrainConfig, args)
     report: dict = {"meta": {"kind": "train", "config": dict(cfg.__dict__),
                              "n_instances": len(ds),
                              "categories": ds.categories}}
@@ -158,9 +161,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import svm
+    from .committees import MarginTable, write_margin_lines
+
     model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
     vectors = read_vector_lines(_read_lines(args.vectors))
     ds, used = _labeled_dataset(vectors, args.labels, args.level, model.categories)
+    for r in used:
+        top = max(vectors[r].entries, default=-1)
+        if top >= model.n_features:
+            raise ToolkitError(f"{args.vectors}: resource {r!r} has feature id {top}, "
+                               f"outside the model's {model.n_features} features")
     accuracy = svm.evaluate_accuracy(model, ds)
     if args.margins_out:
         table = MarginTable(tuple(used), model.categories,
@@ -172,6 +185,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_committee(args) -> int:
+    from .committees import combine, predict_committee_batch, read_margin_lines
+
     if len(args.margins) < 2:
         raise ToolkitError("committee needs at least 2 margin files")
     tables = [read_margin_lines(_read_lines(p)) for p in args.margins]
@@ -213,12 +228,17 @@ def _cmd_behavior(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generator import RegimeConfig, generate_bookmarks
+
     lines = [bookmark_to_line(b) for b in generate_bookmarks(_config(RegimeConfig, args))]
     _write_tsv(lines, args.output)
     return 0
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import (parse_flat_config, run_experiment, run_topk_sweep,
+                          sweep_from_config)
+
     try:
         spec, k_values = sweep_from_config(parse_flat_config(_read_lines(args.config)))
     except ValueError as exc:
@@ -268,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help, *parents, **kwargs):
         p = sub.add_parser(name, help=help, parents=parents, **kwargs)
         p.add_argument("-o", "--output", default=None)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, takes_seed=seed in parents)
         return p
 
     command("ingest", _cmd_ingest, "ingest bookmarks and report counts", bookmarks)
@@ -293,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, "train a multiclass linear classifier",
                 labeled_vectors, labels, seed)
-    p.add_argument("--scheme", choices=svm.SCHEMES, default=argparse.SUPPRESS)
+    p.add_argument("--scheme", choices=SCHEMES, default=argparse.SUPPRESS)
     p.add_argument("--penalty", type=float, default=argparse.SUPPRESS)
     p.add_argument("--epochs", type=int, default=argparse.SUPPRESS)
     p.add_argument("--self-train", action="store_true")
@@ -336,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "seed" in args and not args.takes_seed:
+        parser.error(f"--seed does not apply to {args.command}")
     if getattr(args, "unlabeled_vectors", None) and not args.self_train:
         parser.error("--unlabeled-vectors needs --self-train")
     if getattr(args, "blocked_tags", None) and not args.strip_reading_state:

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choices import REGIMES
 from .folksonomy import Bookmark, Folksonomy, ingest_bookmarks
 
 __all__ = ["REGIMES", "RegimeConfig", "generate_bookmarks", "generate"]
-
-REGIMES = ("resource-based", "personomy-based", "none")
 
 _MAX_DRAWS_PER_TAG = 100
 

@@ -246,15 +246,21 @@ def sweep_from_config(config: Mapping[str, str],
                       ) -> tuple[ExperimentSpec, tuple[int, ...] | None]:
     """The spec and top-K cutoffs (None in experiment mode) a sweep config sets.
 
-    Unknown keys, a mode other than experiment or topk, and k_values outside
-    topk mode raise ValueError naming them.
+    Unknown keys, a value its key's parser rejects, a mode other than
+    experiment or topk, and k_values outside topk mode raise ValueError
+    naming them.
     """
     unknown = sorted(set(config) - set(SWEEP_KEYS))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
                          f"accepted keys: {', '.join(SWEEP_KEYS)}")
-    fields = {SWEEP_KEYS[key][0]: SWEEP_KEYS[key][1](value)
-              for key, value in config.items()}
+    fields = {}
+    for key, value in config.items():
+        name, parse = SWEEP_KEYS[key]
+        try:
+            fields[name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{key} = {value}: {exc}") from exc
     mode = fields.pop("mode", "experiment")
     if mode not in ("experiment", "topk"):
         raise ValueError(f"mode = {mode}: expected experiment or topk")

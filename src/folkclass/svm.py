@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .choices import SCHEMES
 from .vectors import FeatureVector
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "binary_objective", "binary_gradient",
     "model_to_json", "model_from_json",
 ]
-
-SCHEMES = ("native", "one-vs-all", "one-vs-one")
 
 MODEL_FORMAT = "folkclass-model/1"
 MODEL_KINDS = ("linear", "one-vs-one")
@@ -128,6 +127,11 @@ class LinearModel:
     def k(self) -> int:
         return len(self.categories)
 
+    @property
+    def n_features(self) -> int:
+        """Width of the feature space; margins ignore ids at or above it."""
+        return self.weights.shape[1]
+
     def augmented(self) -> np.ndarray:
         """Weights with the bias as a trailing column, the trained parameterization."""
         return np.hstack([self.weights, self.biases[:, None]])
@@ -155,6 +159,10 @@ class OneVsOneModel:
     @property
     def k(self) -> int:
         return len(self.categories)
+
+    @property
+    def n_features(self) -> int:
+        return self._positive_rows.n_features
 
     @cached_property
     def _positive_rows(self) -> LinearModel:

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import folkclass
 from folkclass import svm
 from folkclass.cli import main
 from folkclass.folksonomy import (Bookmark, bookmark_to_line, ingest_bookmarks,
@@ -395,6 +400,23 @@ class TestFeatureIdsChecked:
                               "dimensionality ") and err.count("\n") == 1
         assert not model.exists()
 
+    @pytest.mark.parametrize("scheme", ["native", "one-vs-one"])
+    def test_eval_id_outside_model_names_resource(self, tmp_path, capsys, scheme):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--scheme", scheme, "--epochs", 5, "--model-out", model]) == 0
+        first, *rest = vectors.read_text().splitlines()
+        wide = tmp_path / "wide.tsv"
+        wide.write_text("\n".join([first + " 99999:1.0", *rest]) + "\n")
+        capsys.readouterr()
+        assert run(["eval", "--model", model, "--vectors", wide,
+                    "--labels", labels_path]) == 1
+        err = capsys.readouterr().err
+        resource = first.split("\t")[0]
+        assert err.startswith("folkclass: error: ") and err.count("\n") == 1
+        assert f"resource {resource!r} has feature id 99999" in err
+
 
 class TestIgnoredOptionsRejected:
     def test_unlabeled_vectors_need_self_train(self, tmp_path, capsys):
@@ -425,6 +447,15 @@ class TestIgnoredOptionsRejected:
         report = json.loads(capsys.readouterr().out)
         assert report["report"]["distinct_tags"] == 1
 
+    @pytest.mark.parametrize("argv", [["ingest", "--bookmarks", "b.jsonl"],
+                                      ["committee", "a.margins", "b.margins"]],
+                             ids=["ingest", "committee"])
+    def test_global_seed_on_seedless_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            run(["--seed", "3", *argv])
+        assert err.value.code == 2
+        assert f"--seed does not apply to {argv[0]}" in capsys.readouterr().err
+
 
 def write_sweep_inputs(tmp_path, config):
     f, labels = labeled_corpus(seed=6, n_resources=40)
@@ -443,6 +474,7 @@ class TestSweepConfigTyposRejected:
         ({"mode": "top-k"}, "mode = top-k"),
         ({"k_values": "1,5"}, "k_values = 1,5"),
         ({"mode": "experiment", "k_values": "2"}, "k_values = 2"),
+        ({"epochs": "x"}, "epochs = x: invalid literal for int()"),
     ])
     def test_rejected_by_key_and_value(self, tmp_path, capsys, config, named):
         out = tmp_path / "report.json"
@@ -552,3 +584,34 @@ class TestLineBreaksInsideRecords:
         report = json.loads(capsys.readouterr().out)["report"]
         assert report == ingest_bookmarks(marks).report.as_dict()
         assert report["distinct_tags"] == 3
+
+
+# Runs `folkclass.cli.main` on argv, then reports whether numpy was loaded.
+_MAIN_THEN_REPORT_NUMPY = """
+import sys
+from folkclass.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print("numpy" in sys.modules, code, file=sys.stderr)
+"""
+
+
+class TestNumpyFreeStartup:
+    @pytest.mark.parametrize("argv", [
+        ["ingest"], ["stats", "--novelty", "--allow-synthetic-order"],
+        ["behavior", "--measure", "tpp"], ["represent", "--scheme", "weighted-fta"],
+        ["weight"], ["--help"],
+    ], ids=lambda argv: argv[0])
+    def test_counting_subcommands_do_not_import_numpy(self, argv, two_bookmark_file,
+                                                      tmp_path):
+        if argv != ["--help"]:
+            argv = argv + ["--bookmarks", str(two_bookmark_file),
+                           "-o", str(tmp_path / "out")]
+        src = Path(folkclass.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stderr.split()[-2:] == ["False", "0"], proc.stderr
