@@ -141,7 +141,7 @@ def _cmd_train(args) -> int:
     vectors = read_vector_lines(_read_lines(args.vectors))
     ds, _ = _labeled_dataset(vectors, args.labels, args.level)
     cfg = _config(svm.TrainConfig, args)
-    report: dict = {"meta": {"kind": "train", "config": dict(cfg.__dict__),
+    report: dict = {"meta": {"kind": "train", "config": cfg.record(),
                              "n_instances": len(ds),
                              "categories": ds.categories}}
     if args.self_train:

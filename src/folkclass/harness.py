@@ -158,7 +158,7 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             "member": member_name(spec.member),
             "committee": [member_name(m) for m in spec.committee]
             if spec.committee else None,
-            "train": dict(spec.train.__dict__),
+            "train": spec.train.record(),
             "sizes": list(spec.sizes),
             "runs": spec.runs,
             "base_seed": spec.base_seed,

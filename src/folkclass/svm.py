@@ -6,7 +6,7 @@ tail iterate averaging.  The bias is realized as a constant appended
 feature, so it takes part in the regularizer.  Three multiclass schemes:
 
 * native     -- joint objective 0.5*sum_m ||w_m||^2
-                + C * sum_i sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m))^d
+                + C * sum_i sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m))
 * one-vs-all -- k binary hyperplanes, decision argmax_m (w_m.x + b_m)
 * one-vs-one -- k(k-1)/2 pairwise hyperplanes, decision by majority vote,
                 ties by summed signed margins, then lowest category id
@@ -17,7 +17,6 @@ trains its k coupled rows in one pass; every binary problem (one-vs-all's k
 category-against-rest problems, each one-vs-one pair, train_binary) trains
 one row in a pass of its own.
 
-The hinge exponent d defaults to 1; d=2 is accepted behind the config flag.
 Margins are plain float arrays of length k; prediction is argmax with
 lowest-id tie-break.  One-vs-one scores every pair in one pass over a
 vector's entries.  Training is deterministic under a fixed seed.
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,6 +46,7 @@ __all__ = [
 
 MODEL_FORMAT = "folkclass-model/1"
 MODEL_KINDS = ("linear", "one-vs-one")
+_HINGE_EXPONENT = 1   # the only loss is the plain hinge; echoed for format stability
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     scheme: str = "native"
-    hinge_exponent: int = 1    # d; 2 enables the squared hinge
 
     def __post_init__(self):
         if self.penalty <= 0:
@@ -64,8 +63,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.hinge_exponent not in (1, 2):
-            raise ValueError(f"hinge_exponent must be 1 or 2, got {self.hinge_exponent}")
+
+    def record(self) -> dict:
+        """The config as reports echo it: its fields, then the hinge exponent."""
+        return {**asdict(self), "hinge_exponent": _HINGE_EXPONENT}
 
 
 class LabeledDataset:
@@ -78,9 +79,12 @@ class LabeledDataset:
         self.instances = list(instances)
         self.categories = list(categories)
         k = len(categories)
-        for fv, cid in self.instances:
+        for i, (fv, cid) in enumerate(self.instances):
             if not 0 <= cid < k:
                 raise ValueError(f"category id {cid} outside 0..{k - 1}")
+            if max(fv.entries, default=-1) >= n_features:
+                raise ValueError(f"instance {i}: feature id {max(fv.entries)} "
+                                 f"outside 0..{n_features - 1}")
         self.n_features = n_features
 
     def __len__(self) -> int:
@@ -103,8 +107,7 @@ class LabeledDataset:
         y = np.zeros(n, dtype=np.int64)
         for row, (fv, cid) in enumerate(self.instances):
             for fid, w in fv.entries.items():
-                if fid < d:
-                    X[row, fid] = w
+                X[row, fid] = w
             X[row, d] = 1.0
             y[row] = cid
         return X, y
@@ -201,14 +204,6 @@ def _check_no_empty_category(dataset: LabeledDataset) -> None:
                 f"category {dataset.categories[cid]!r} has no training instances")
 
 
-def _hinge_coef(gaps: np.ndarray, d_exp: int) -> np.ndarray:
-    """Derivative of hinge^d w.r.t. the gap, elementwise, zero where inactive."""
-    active = gaps > 0.0
-    if d_exp == 1:
-        return active.astype(float)
-    return 2.0 * np.where(active, gaps, 0.0)
-
-
 def _sgd(X: np.ndarray, rows: int, loss_grad, cfg: TrainConfig) -> np.ndarray:
     """Tail-averaged stochastic subgradient descent over a (rows, d+1) matrix W.
 
@@ -239,29 +234,29 @@ def _sgd(X: np.ndarray, rows: int, loss_grad, cfg: TrainConfig) -> np.ndarray:
     return W_sum / (total - tail_start + 1)
 
 
-def _native_hinge_grad(y: np.ndarray, d_exp: int):
-    """Score derivative of sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m))^d over k rows."""
+def _native_hinge_grad(y: np.ndarray):
+    """Score derivative of sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m)) over k rows."""
     def loss_grad(i: int, scores: np.ndarray) -> np.ndarray:
         yi = y[i]
         gaps = 2.0 - (scores[yi] - scores)
         gaps[yi] = 0.0
-        g = _hinge_coef(gaps, d_exp)
+        g = (gaps > 0.0).astype(float)
         g[yi] = -g.sum()
         return g
     return loss_grad
 
 
-def _binary_hinge_grad(ydec: np.ndarray, d_exp: int):
-    """Score derivative of max(0, 1 - y_i*s)^d for one row, with y_i in {-1, +1}."""
+def _binary_hinge_grad(ydec: np.ndarray):
+    """Score derivative of max(0, 1 - y_i*s) for one row, with y_i in {-1, +1}."""
     def loss_grad(i: int, scores: np.ndarray) -> np.ndarray:
         yi = ydec[i]
-        return -yi * _hinge_coef(1.0 - yi * scores, d_exp)
+        return -yi * (1.0 - yi * scores > 0.0).astype(float)
     return loss_grad
 
 
 def _model_meta(cfg: TrainConfig, scheme: str) -> dict:
     return {"scheme": scheme, "penalty": cfg.penalty, "epochs": cfg.epochs,
-            "seed": cfg.seed, "hinge_exponent": cfg.hinge_exponent}
+            "seed": cfg.seed, "hinge_exponent": _HINGE_EXPONENT}
 
 
 def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
@@ -273,7 +268,7 @@ def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
 def _pair_model(X: np.ndarray, ydec: np.ndarray, categories: Sequence[str],
                 cfg: TrainConfig) -> LinearModel:
     """One hyperplane w stored as rows [-w, w]."""
-    w = _sgd(X, 1, _binary_hinge_grad(ydec, cfg.hinge_exponent), cfg)
+    w = _sgd(X, 1, _binary_hinge_grad(ydec), cfg)
     return _linear_model(np.vstack([-w, w]), categories, cfg, "binary")
 
 
@@ -281,7 +276,7 @@ def train_native(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Joint multiclass training over all k categories at once."""
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    W = _sgd(X, dataset.k, _native_hinge_grad(y, cfg.hinge_exponent), cfg)
+    W = _sgd(X, dataset.k, _native_hinge_grad(y), cfg)
     return _linear_model(W, dataset.categories, cfg, "native")
 
 
@@ -303,8 +298,7 @@ def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    W = np.vstack([_sgd(X, 1, _binary_hinge_grad(np.where(y == m, 1.0, -1.0),
-                                                 cfg.hinge_exponent), cfg)
+    W = np.vstack([_sgd(X, 1, _binary_hinge_grad(np.where(y == m, 1.0, -1.0)), cfg)
                    for m in range(dataset.k)])
     return _linear_model(W, dataset.categories, cfg, "one-vs-all")
 
@@ -370,24 +364,24 @@ def evaluate_accuracy(model: Model, test: LabeledDataset) -> float:
 # --- exact primal objectives and their (sub)gradients, on augmented arrays ---
 
 def native_objective(W: np.ndarray, X: np.ndarray, y: np.ndarray,
-                     C: float, d_exp: int = 1) -> float:
-    """0.5*||W||^2 + C * sum_i sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m))^d."""
+                     C: float) -> float:
+    """0.5*||W||^2 + C * sum_i sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m))."""
     scores = X @ W.T
     idx = np.arange(len(y))
     gaps = 2.0 - (scores[idx, y][:, None] - scores)
     gaps[idx, y] = 0.0
     hinge = np.maximum(gaps, 0.0)
-    return 0.5 * float((W * W).sum()) + C * float((hinge ** d_exp).sum())
+    return 0.5 * float((W * W).sum()) + C * float(hinge.sum())
 
 
 def native_gradient(W: np.ndarray, X: np.ndarray, y: np.ndarray,
-                    C: float, d_exp: int = 1) -> np.ndarray:
+                    C: float) -> np.ndarray:
     """Gradient of native_objective; a subgradient at hinge kinks."""
     scores = X @ W.T
     idx = np.arange(len(y))
     gaps = 2.0 - (scores[idx, y][:, None] - scores)
     gaps[idx, y] = 0.0
-    coef = _hinge_coef(gaps, d_exp)          # (n, k)
+    coef = (gaps > 0.0).astype(float)        # (n, k)
     G = coef.T @ X                           # rows m: sum_i coef_im x_i
     onehot = np.zeros_like(coef)
     onehot[idx, y] = coef.sum(axis=1)
@@ -396,16 +390,16 @@ def native_gradient(W: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 def binary_objective(w: np.ndarray, X: np.ndarray, ydec: np.ndarray,
-                     C: float, d_exp: int = 1) -> float:
-    """0.5*||w||^2 + C * sum_i max(0, 1 - y_i w.x_i)^d with y in {-1, +1}."""
+                     C: float) -> float:
+    """0.5*||w||^2 + C * sum_i max(0, 1 - y_i w.x_i) with y in {-1, +1}."""
     hinge = np.maximum(0.0, 1.0 - ydec * (X @ w))
-    return 0.5 * float(w @ w) + C * float((hinge ** d_exp).sum())
+    return 0.5 * float(w @ w) + C * float(hinge.sum())
 
 
 def binary_gradient(w: np.ndarray, X: np.ndarray, ydec: np.ndarray,
-                    C: float, d_exp: int = 1) -> np.ndarray:
+                    C: float) -> np.ndarray:
     gaps = 1.0 - ydec * (X @ w)
-    coef = _hinge_coef(gaps, d_exp)
+    coef = (gaps > 0.0).astype(float)
     return w - C * ((coef * ydec) @ X)
 
 
@@ -416,18 +410,18 @@ def objective_value(model: Model, dataset: LabeledDataset, cfg: TrainConfig) -> 
     parameterization), so it is included in the regularizer.
     """
     X, y = dataset.to_arrays()
-    C, d_exp = cfg.penalty, cfg.hinge_exponent
+    C = cfg.penalty
     if cfg.scheme == "native":
         if not isinstance(model, LinearModel):
             raise TypeError("native objective needs a LinearModel")
-        return native_objective(model.augmented(), X, y, C, d_exp)
+        return native_objective(model.augmented(), X, y, C)
     if cfg.scheme == "one-vs-all":
         if not isinstance(model, LinearModel):
             raise TypeError("one-vs-all objective needs a LinearModel")
         total = 0.0
         for m in range(model.k):
             ydec = np.where(y == m, 1.0, -1.0)
-            total += binary_objective(model.augmented()[m], X, ydec, C, d_exp)
+            total += binary_objective(model.augmented()[m], X, ydec, C)
         return total
     if not isinstance(model, OneVsOneModel):
         raise TypeError("one-vs-one objective needs a OneVsOneModel")
@@ -435,7 +429,7 @@ def objective_value(model: Model, dataset: LabeledDataset, cfg: TrainConfig) -> 
     for (a, b), sub in zip(model.pairs, model.models):
         mask = (y == a) | (y == b)
         ydec = np.where(y[mask] == b, 1.0, -1.0)
-        total += binary_objective(sub.augmented()[1], X[mask], ydec, C, d_exp)
+        total += binary_objective(sub.augmented()[1], X[mask], ydec, C)
     return total
 
 
@@ -489,8 +483,8 @@ def _one_vs_one_from_doc(doc: dict) -> OneVsOneModel:
     _require_keys(doc, ("categories", "pairs", "sub_models"), "one-vs-one model")
     categories = _categories_from_doc(doc, "one-vs-one model")
     pairs, sub_docs = doc["pairs"], doc["sub_models"]
-    if not isinstance(pairs, list):
-        raise ValueError("one-vs-one model 'pairs' is not a list")
+    if not (isinstance(pairs, list) and pairs):
+        raise ValueError("one-vs-one model 'pairs' is not a list of one or more pairs")
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
                 and all(type(c) is int and 0 <= c < len(categories) for c in pair)):

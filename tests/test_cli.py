@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import re
@@ -9,11 +11,12 @@ import pytest
 
 import folkclass
 from folkclass import svm
-from folkclass.cli import main
+from folkclass.cli import build_parser, main
 from folkclass.folksonomy import (Bookmark, bookmark_to_line, ingest_bookmarks,
                                   parse_category_lines)
 from folkclass.generator import RegimeConfig, generate_bookmarks
-from folkclass.harness import ExperimentSpec, format_flat_config, run_experiment
+from folkclass.harness import (SWEEP_KEYS, ExperimentSpec, format_flat_config,
+                               run_experiment)
 from folkclass.vectors import read_vector_lines
 
 from test_harness import labeled_corpus
@@ -363,9 +366,10 @@ class TestModelDocumentShapes:
         ({**_PAIRWISE, "pairs": [[0, 1], [2, 2], [1, 2]]}, "pairs"),
         ({**_PAIRWISE, "pairs": [[0, 1], [0, 7], [1, 2]]}, "pairs"),
         ({**_PAIRWISE, "sub_models": _PAIRWISE["sub_models"][:2]}, "sub_models"),
+        ({**_PAIRWISE, "pairs": [], "sub_models": []}, "pairs"),
     ], ids=["categories-int", "weights-1d", "weights-rows", "biases-length",
             "pair-one-id", "pair-not-distinct", "pair-out-of-range",
-            "sub-model-count"])
+            "sub-model-count", "no-pairs"])
     def test_bad_field_named_without_traceback(self, tmp_path, capsys, doc, field):
         _, _, labels_path, vectors = write_corpus(tmp_path)
         model = tmp_path / "model.json"
@@ -571,6 +575,16 @@ class TestDefaultsAreTheLibrarys:
                                              "base_seed": "3"})
         assert run(["--seed", "8"] + argv + ["-o", out]) == 0
         assert json.loads(out.read_text())["meta"]["base_seed"] == 8
+
+    def test_every_training_field_is_settable_from_train_and_sweep(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        train_dests = {a.dest for a in commands.choices["train"]._actions}
+        sweep_fields = {name.removeprefix("train.") for name, _ in SWEEP_KEYS.values()}
+        fields = {f.name for f in dataclasses.fields(svm.TrainConfig)}
+        assert fields <= train_dests   # seed: the --seed shared with the top level
+        assert fields <= sweep_fields | {"seed"} and "base_seed" in SWEEP_KEYS
 
 
 class TestLineBreaksInsideRecords:

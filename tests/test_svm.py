@@ -46,6 +46,11 @@ class TestDataset:
         with pytest.raises(ValueError):
             LabeledDataset([(fv(1.0), 5)], ["a", "b"], 1)
 
+    def test_feature_id_outside_width_rejected(self):
+        wide = FeatureVector({0: 1.0, 5: 3.0}, 6)
+        with pytest.raises(ValueError, match=r"instance 1: feature id 5 outside 0\.\.1"):
+            LabeledDataset([(fv(1.0, 0.0), 0), (wide, 1)], ["a", "b"], 2)
+
     def test_bias_column_appended(self):
         ds = LabeledDataset([(fv(2.0, 0.0), 0), (fv(0.0, 3.0), 1)], ["a", "b"], 2)
         X, y = ds.to_arrays()
@@ -361,13 +366,6 @@ class TestObjective:
         obj2 = objective_value(model, blobs3, TrainConfig(penalty=2.0, epochs=1))
         assert obj2 - reg == pytest.approx(2.0 * (obj1 - reg))
 
-    def test_squared_hinge_flag(self, blobs3):
-        k, n = 3, len(blobs3)
-        model = LinearModel(weights=np.zeros((k, 2)), biases=np.zeros(k),
-                            categories=tuple(blobs3.categories))
-        cfg = TrainConfig(penalty=1.0, epochs=1, hinge_exponent=2)
-        assert objective_value(model, blobs3, cfg) == n * (k - 1) * 4.0
-
     def test_finite_difference_directional_derivative(self):
         rng = np.random.default_rng(123)
         checked = 0
@@ -461,6 +459,14 @@ class TestSerialization:
             x = FeatureVector(entries, d)
             assert back.margins(x).tobytes() == model.margins(x).tobytes()
             assert back.predict(x) == model.predict(x)
+
+    def test_squared_hinge_model_still_loads(self):
+        doc = {"format": "folkclass-model/1", "kind": "linear", "categories": ["a", "b"],
+               "weights": [[0.0], [1.0]], "biases": [0.0, 0.0],
+               "meta": {"scheme": "native", "hinge_exponent": 2}}
+        model = model_from_json(json.dumps(doc))
+        assert model.predict(fv(1.0)) == 1
+        assert model_to_json(model) == json.dumps(doc)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
@@ -578,6 +584,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(scheme="nonsense")
 
-    def test_bad_exponent(self):
-        with pytest.raises(ValueError):
-            TrainConfig(hinge_exponent=3)
+    def test_record_echoes_the_fields_then_the_plain_hinge(self):
+        assert list(TrainConfig(seed=3).record().items()) == [
+            ("penalty", 1.0), ("epochs", 100), ("seed", 3), ("scheme", "native"),
+            ("hinge_exponent", 1)]
