@@ -161,8 +161,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import numpy as np
-
     from . import svm
     from .committees import MarginTable, write_margin_lines
 
@@ -177,7 +175,7 @@ def _cmd_eval(args) -> int:
     accuracy = svm.evaluate_accuracy(model, ds)
     if args.margins_out:
         table = MarginTable(tuple(used), model.categories,
-                            np.array([model.margins(fv) for fv, _ in ds.instances]))
+                            model.margins_batch([fv for fv, _ in ds.instances]))
         _write_tsv(write_margin_lines(table), args.margins_out)
     _write_json({"meta": {"kind": "eval", "model_meta": model.meta},
                  "n_instances": len(ds), "accuracy": accuracy}, args.output)

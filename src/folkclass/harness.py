@@ -133,7 +133,7 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             if spec.committee:
                 tables = [MarginTable(
                     tuple(test_pool), tuple(categories),
-                    np.array([model.margins(vs[r]) for r in test_pool]))
+                    model.margins_batch([vs[r] for r in test_pool]))
                     for model, vs in fitted]
                 summed, _ = combine(tables, normalize=True)
                 predicted = [cat_id[c] for c in predict_committee_batch(summed)]
@@ -141,7 +141,7 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
                 # one member decides by its own rule: one-vs-one votes
                 # pairwise, which a committee of one would not
                 [(model, vs)] = fitted
-                predicted = [model.predict(vs[r]) for r in test_pool]
+                predicted = model.predict_batch([vs[r] for r in test_pool]).tolist()
             correct = sum(1 for p, cid in zip(predicted, test_labels) if p == cid)
             accuracy = correct / len(test_pool)
             run_rows.append({"run": run, "seed": seed, "accuracy": accuracy,

@@ -15,11 +15,15 @@ All schemes share one SGD loop over a (rows, d+1) weight matrix; a scheme
 supplies only its hinge derivative with respect to the row scores.  Native
 trains its k coupled rows in one pass; every binary problem (one-vs-all's k
 category-against-rest problems, each one-vs-one pair, train_binary) trains
-one row in a pass of its own.
+one row in a pass of its own.  A step's update touches only the columns
+where the instance is non-zero.
 
 Margins are plain float arrays of length k; prediction is argmax with
-lowest-id tie-break.  One-vs-one scores every pair in one pass over a
-vector's entries.  Training is deterministic under a fixed seed.
+lowest-id tie-break.  Both come from one batched pass over a batch of
+vectors (a single vector is a batch of one), which sums each row exactly
+as a loop over the vector's entries would: bias first, then every entry in
+entry order.  One-vs-one scores every pair in that same pass.  Training is
+deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -47,6 +52,7 @@ __all__ = [
 MODEL_FORMAT = "folkclass-model/1"
 MODEL_KINDS = ("linear", "one-vs-one")
 _HINGE_EXPONENT = 1   # the only loss is the plain hinge; echoed for format stability
+_MARGIN_CHUNK_FLOATS = 1 << 14   # bound on a margin pass's (rows, L+1, k) temporary
 
 
 @dataclass(frozen=True)
@@ -132,22 +138,65 @@ class LinearModel:
 
     @property
     def n_features(self) -> int:
-        """Width of the feature space; margins ignore ids at or above it."""
+        """Width of the feature space; a vector with an id at or above it is an error."""
         return self.weights.shape[1]
 
     def augmented(self) -> np.ndarray:
         """Weights with the bias as a trailing column, the trained parameterization."""
         return np.hstack([self.weights, self.biases[:, None]])
 
-    def margins(self, fv: FeatureVector) -> np.ndarray:
-        out = self.biases.astype(float).copy()
-        for fid, w in fv.entries.items():
-            if fid < self.weights.shape[1]:
-                out += w * self.weights[:, fid]
+    @cached_property
+    def _term_rows(self) -> np.ndarray:
+        """(d+2, k): each feature's column of weights, then -0.0, then the biases.
+
+        A margin term is value * row: an entry (w, fid) gives w * weights[:, fid],
+        (1.0, -1) gives the biases, and (1.0, -2) gives -0.0, which pads a row
+        without changing its sum (s + -0.0 == s, also for s == -0.0).
+        """
+        return np.vstack([self.weights.T, np.full(self.k, -0.0), self.biases])
+
+    def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Margins of every vector, shape (n, k).
+
+        Each row is summed strictly left to right (add.accumulate): the bias,
+        then w * weights[:, fid] for each entry in the vector's entry order.
+        Rows go in chunks that bound the (rows, L+1, k) term array, L the
+        longest vector's length.
+        """
+        entries = [fv.entries for fv in fvs]
+        longest = max(map(len, entries), default=0)
+        step = max(1, _MARGIN_CHUNK_FLOATS // ((longest + 1) * self.k))
+        out = np.empty((len(entries), self.k))
+        for lo in range(0, len(entries), step):
+            out[lo:lo + step] = self._summed(entries[lo:lo + step], lo, longest + 1)
         return out
 
+    def _summed(self, entries: list[dict[int, float]], first: int, width: int) -> np.ndarray:
+        """Margins of a chunk whose rows are padded to `width` terms."""
+        ids = np.fromiter(chain.from_iterable(
+            chain((-1,), e, repeat(-2, width - 1 - len(e))) for e in entries),
+            np.intp, len(entries) * width)
+        vals = np.fromiter(chain.from_iterable(
+            chain((1.0,), e.values(), repeat(1.0, width - 1 - len(e))) for e in entries),
+            float, ids.size)
+        if ids.size and ids.max() >= self.n_features:
+            pos = int(np.argmax(ids >= self.n_features))
+            raise ValueError(f"vector {first + pos // width}: feature id {ids[pos]} "
+                             f"outside the model's {self.n_features} features")
+        terms = self._term_rows[ids]
+        terms *= vals[:, None]
+        terms = terms.reshape(len(entries), width, self.k)
+        return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+
+    def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Category id of every vector: argmax margin, lowest id on ties."""
+        return np.argmax(self.margins_batch(fvs), axis=1)
+
+    def margins(self, fv: FeatureVector) -> np.ndarray:
+        return self.margins_batch([fv])[0]
+
     def predict(self, fv: FeatureVector) -> int:
-        return int(np.argmax(self.margins(fv)))
+        return int(self.predict_batch([fv])[0])
 
 
 @dataclass(frozen=True)
@@ -174,24 +223,56 @@ class OneVsOneModel:
                            biases=np.array([m.biases[1] for m in self.models]),
                            categories=tuple(f"{a}:{b}" for a, b in self.pairs))
 
-    def _pairwise(self, fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
-        """Signed margin of every pair, and their per-category sums."""
-        signed = self._positive_rows.margins(fv)
-        sums = np.zeros(self.k)
-        for (a, b), s in zip(self.pairs, signed):
-            sums[b] += s
-            sums[a] -= s
-        return signed, sums
+    @cached_property
+    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per category, its pairs' signed-margin columns in pair order, and signs.
+
+        Both are (k, m).  A category gains a pair's signed margin where it is
+        the pair's second (sign +1) and loses it where it is the first (sign
+        -1).  Column P, one past the last pair, holds +0.0: every category's
+        sum starts from it, and a category in fewer pairs than another is
+        padded in front with more of it (+0.0 + +0.0 == +0.0).
+        """
+        P = len(self.pairs)
+        sides: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
+        for p, (a, b) in enumerate(self.pairs):
+            sides[b].append((p, 1.0))
+            sides[a].append((p, -1.0))
+        m = 1 + max(map(len, sides))
+        padded = [[(P, 1.0)] * (m - len(side)) + side for side in sides]
+        return (np.array([[p for p, _ in side] for side in padded], dtype=np.intp),
+                np.array([[sign for _, sign in side] for side in padded]))
+
+    def _per_side(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Every pair's signed margin (w.x for the pair's positive row) in the
+        `_sides` layout, (n, k, m)."""
+        signed = self._positive_rows.margins_batch(fvs)
+        return np.hstack([signed, np.zeros((len(signed), 1))])[:, self._sides[0]]
+
+    def _category_sums(self, per_side: np.ndarray) -> np.ndarray:
+        """Per-category sums of the signed margins, added in pair order as
+        `sums[b] += s; sums[a] -= s` over the pairs would (x - s == x + -s)."""
+        return np.add.accumulate(per_side * self._sides[1], axis=2)[:, :, -1]
+
+    def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Per-category summed signed margins over all pairwise models, (n, k)."""
+        return self._category_sums(self._per_side(fvs))
+
+    def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Most pairwise wins (b wins pair (a, b) if its signed margin is > 0,
+        else a); ties by summed signed margins, then lowest id."""
+        per_side = self._per_side(fvs)
+        votes = ((per_side > 0.0) == (self._sides[1] > 0.0)).sum(axis=2)
+        sums = self._category_sums(per_side)
+        best = votes == votes.max(axis=1, keepdims=True)
+        best &= sums == np.where(best, sums, -np.inf).max(axis=1, keepdims=True)
+        return np.argmax(best, axis=1)
 
     def margins(self, fv: FeatureVector) -> np.ndarray:
-        """Per-category summed signed margins over all pairwise models."""
-        return self._pairwise(fv)[1]
+        return self.margins_batch([fv])[0]
 
     def predict(self, fv: FeatureVector) -> int:
-        signed, sums = self._pairwise(fv)
-        winners = [b if s > 0 else a for (a, b), s in zip(self.pairs, signed)]
-        votes = np.bincount(winners, minlength=self.k)
-        return max(range(self.k), key=lambda c: (votes[c], sums[c], -c))
+        return int(self.predict_batch([fv])[0])
 
 
 Model = LinearModel | OneVsOneModel
@@ -204,12 +285,25 @@ def _check_no_empty_category(dataset: LabeledDataset) -> None:
                 f"category {dataset.categories[cid]!r} has no training instances")
 
 
-def _sgd(X: np.ndarray, rows: int, loss_grad, cfg: TrainConfig) -> np.ndarray:
+def _nonzeros(dataset: LabeledDataset) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The non-zero columns of each row of `dataset.to_arrays()`, and their values."""
+    bias = dataset.n_features
+    return [(np.fromiter(chain(fv.entries, (bias,)), np.intp, len(fv) + 1),
+             np.fromiter(chain(fv.entries.values(), (1.0,)), float, len(fv) + 1))
+            for fv, _ in dataset.instances]
+
+
+def _sgd(X: np.ndarray, support: list[tuple[np.ndarray, np.ndarray]], rows: int,
+         loss_grad, cfg: TrainConfig) -> np.ndarray:
     """Tail-averaged stochastic subgradient descent over a (rows, d+1) matrix W.
 
     Minimizes 0.5*||W||^2 + C * sum_i loss_i(W x_i).  `loss_grad(i, scores)`
-    returns the derivative of instance i's loss with respect to its scores
-    W x_i; rows whose derivative is zero only take the regularizer step.
+    returns the non-zero entries of the derivative of instance i's loss with
+    respect to its scores W x_i, as (row, value) pairs; rows it leaves out
+    only take the regularizer step.  The loss step touches only the columns
+    where x_i is non-zero, `support[i]`: at the others it would subtract a
+    zero, and W never holds -0.0 (it starts at +0.0 and exact cancellation
+    rounds to +0.0), so W - 0 == W.
     """
     n, dim = X.shape
     lam = 1.0 / (cfg.penalty * n)
@@ -222,13 +316,12 @@ def _sgd(X: np.ndarray, rows: int, loss_grad, cfg: TrainConfig) -> np.ndarray:
     for _ in range(cfg.epochs):
         for i in rng.permutation(n):
             t += 1
-            x = X[i]
-            g = loss_grad(i, W @ x)
+            coefs = loss_grad(i, W @ X[i])
             eta = 1.0 / (lam * t)
             W *= 1.0 - 1.0 / t
-            nz = g.nonzero()[0]
-            if nz.size:
-                W[nz] -= np.outer(eta * g[nz], x)
+            cols, vals = support[i]
+            for r, g in coefs:
+                W[r][cols] -= (eta * g) * vals
             if t >= tail_start:
                 W_sum += W
     return W_sum / (total - tail_start + 1)
@@ -236,21 +329,23 @@ def _sgd(X: np.ndarray, rows: int, loss_grad, cfg: TrainConfig) -> np.ndarray:
 
 def _native_hinge_grad(y: np.ndarray):
     """Score derivative of sum_{m != y_i} max(0, 2 - (s_{y_i} - s_m)) over k rows."""
-    def loss_grad(i: int, scores: np.ndarray) -> np.ndarray:
-        yi = y[i]
-        gaps = 2.0 - (scores[yi] - scores)
-        gaps[yi] = 0.0
-        g = (gaps > 0.0).astype(float)
-        g[yi] = -g.sum()
-        return g
+    ys = y.tolist()
+
+    def loss_grad(i: int, scores: np.ndarray) -> list[tuple[int, float]]:
+        yi, s = ys[i], scores.tolist()
+        violated = [(m, 1.0) for m, sm in enumerate(s)
+                    if m != yi and 2.0 - (s[yi] - sm) > 0.0]
+        return [(yi, -float(len(violated))), *violated] if violated else []
     return loss_grad
 
 
 def _binary_hinge_grad(ydec: np.ndarray):
     """Score derivative of max(0, 1 - y_i*s) for one row, with y_i in {-1, +1}."""
-    def loss_grad(i: int, scores: np.ndarray) -> np.ndarray:
-        yi = ydec[i]
-        return -yi * (1.0 - yi * scores > 0.0).astype(float)
+    ys = ydec.tolist()
+
+    def loss_grad(i: int, scores: np.ndarray) -> tuple[tuple[int, float], ...]:
+        yi = ys[i]
+        return ((0, -yi),) if 1.0 - yi * scores.item() > 0.0 else ()
     return loss_grad
 
 
@@ -265,10 +360,10 @@ def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
                        categories=tuple(categories), meta=_model_meta(cfg, scheme))
 
 
-def _pair_model(X: np.ndarray, ydec: np.ndarray, categories: Sequence[str],
-                cfg: TrainConfig) -> LinearModel:
+def _pair_model(X: np.ndarray, support: list[tuple[np.ndarray, np.ndarray]],
+                ydec: np.ndarray, categories: Sequence[str], cfg: TrainConfig) -> LinearModel:
     """One hyperplane w stored as rows [-w, w]."""
-    w = _sgd(X, 1, _binary_hinge_grad(ydec), cfg)
+    w = _sgd(X, support, 1, _binary_hinge_grad(ydec), cfg)
     return _linear_model(np.vstack([-w, w]), categories, cfg, "binary")
 
 
@@ -276,7 +371,7 @@ def train_native(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Joint multiclass training over all k categories at once."""
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    W = _sgd(X, dataset.k, _native_hinge_grad(y), cfg)
+    W = _sgd(X, _nonzeros(dataset), dataset.k, _native_hinge_grad(y), cfg)
     return _linear_model(W, dataset.categories, cfg, "native")
 
 
@@ -286,7 +381,8 @@ def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
         raise ValueError(f"binary training needs exactly 2 categories, got {dataset.k}")
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    return _pair_model(X, np.where(y == 1, 1.0, -1.0), dataset.categories, cfg)
+    return _pair_model(X, _nonzeros(dataset), np.where(y == 1, 1.0, -1.0),
+                       dataset.categories, cfg)
 
 
 def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
@@ -298,7 +394,8 @@ def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
-    W = np.vstack([_sgd(X, 1, _binary_hinge_grad(np.where(y == m, 1.0, -1.0)), cfg)
+    support = _nonzeros(dataset)
+    W = np.vstack([_sgd(X, support, 1, _binary_hinge_grad(np.where(y == m, 1.0, -1.0)), cfg)
                    for m in range(dataset.k)])
     return _linear_model(W, dataset.categories, cfg, "one-vs-all")
 
@@ -307,12 +404,14 @@ def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel
     """k(k-1)/2 pairwise problems on pair-restricted instances."""
     _check_no_empty_category(dataset)
     X, y = dataset.to_arrays()
+    support = _nonzeros(dataset)
     pairs = [(a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k)]
     models = []
     for a, b in pairs:
         mask = (y == a) | (y == b)
         models.append(_pair_model(
-            X[mask], np.where(y[mask] == b, 1.0, -1.0),
+            X[mask], [support[i] for i in np.flatnonzero(mask)],
+            np.where(y[mask] == b, 1.0, -1.0),
             (dataset.categories[a], dataset.categories[b]), cfg))
     return OneVsOneModel(categories=tuple(dataset.categories),
                          pairs=tuple(pairs), models=tuple(models),
@@ -343,7 +442,7 @@ def self_train_2step(labeled: LabeledDataset,
     union.  With no unlabeled data the returned model is the supervised one.
     """
     first = train(labeled, cfg)
-    pseudo = [(fv, first.predict(fv)) for fv in unlabeled]
+    pseudo = list(zip(unlabeled, first.predict_batch(unlabeled).tolist()))
     counts = {c: 0 for c in labeled.categories}
     for _, cid in pseudo:
         counts[labeled.categories[cid]] += 1
@@ -357,7 +456,8 @@ def evaluate_accuracy(model: Model, test: LabeledDataset) -> float:
     """Fraction of correct predictions; every instance weighs the same."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    correct = sum(1 for fv, cid in test.instances if model.predict(fv) == cid)
+    predicted = model.predict_batch([fv for fv, _ in test.instances])
+    correct = sum(1 for p, (_, cid) in zip(predicted.tolist(), test.instances) if p == cid)
     return correct / len(test)
 
 

@@ -130,8 +130,8 @@ class TestRunExperiment:
     def test_single_one_vs_one_member_decides_by_votes(self, monkeypatch):
         # every test instance gets two pairwise votes for cat2, while the
         # summed pairwise margins favour cat0
-        monkeypatch.setattr(harness, "train",
-                            lambda ds, cfg: constant_one_vs_one([-5.0, 0.1, 0.1]))
+        monkeypatch.setattr(harness, "train", lambda ds, cfg: constant_one_vs_one(
+            [-5.0, 0.1, 0.1], n_features=ds.n_features))
         f, labels = labeled_corpus()
         _, test = hash_split([a.resource for a in labels], 0.4)
         top = {a.resource: a.top for a in labels}

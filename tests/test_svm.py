@@ -152,11 +152,12 @@ class TestPredictMargins:
         # by hand: 2*3 - 1*4 + 1 = 3 ; 0.5*3 + 3*4 - 2 = 11.5
         assert list(model.margins(x)) == [3.0, 11.5]
 
-    def test_unknown_feature_ids_dropped(self):
+    def test_unknown_feature_ids_rejected(self):
         model = LinearModel(weights=np.array([[1.0], [2.0]]),
                             biases=np.zeros(2), categories=("a", "b"))
         x = FeatureVector({0: 1.0, 9: 100.0}, 10)
-        assert list(model.margins(x)) == [1.0, 2.0]
+        with pytest.raises(ValueError, match=r"vector 0: feature id 9 outside the model's 1"):
+            model.margins(x)
 
     def test_argmax_invariant_to_positive_scaling(self, blobs3):
         model = train_native(blobs3, TrainConfig(epochs=20, seed=5))

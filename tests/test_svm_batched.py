@@ -1,0 +1,236 @@
+"""The batched margin/predict pass and the sparse-column SGD step against the
+per-instance loop and the dense step they replaced (tests/svm_oracle.py):
+equal byte for byte, not within a tolerance."""
+
+from itertools import product
+from unittest.mock import patch
+
+import hypothesis.extra.numpy as npst
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given
+
+from folkclass import svm
+from folkclass.svm import (LabeledDataset, LinearModel, OneVsOneModel, TrainConfig,
+                           train_binary, train_native, train_one_vs_all,
+                           train_one_vs_one)
+from folkclass.vectors import FeatureVector
+
+from conftest import constant_one_vs_one
+from svm_oracle import (dense_binary_hinge_grad, dense_native_hinge_grad, dense_sgd,
+                        looped_predictions, stacked_margins)
+
+# tie-prone values (signed zeros, small integers) mixed with arbitrary floats
+VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5]),
+                   st.floats(-1e6, 1e6))
+
+
+def linear_models(data, rows: int, d: int, categories) -> LinearModel:
+    return LinearModel(
+        weights=data.draw(npst.arrays(np.float64, (rows, d), elements=VALUES)),
+        biases=data.draw(npst.arrays(np.float64, (rows,), elements=VALUES)),
+        categories=categories)
+
+
+def vector_batches(data, d: int) -> list[FeatureVector]:
+    """0-6 vectors of mixed lengths, empty ones included, entries in drawn order."""
+    entries = st.lists(st.tuples(st.integers(0, d - 1), VALUES.filter(bool)),
+                       max_size=2 * d, unique_by=lambda e: e[0])
+    return [FeatureVector(dict(e), d) for e in data.draw(st.lists(entries, max_size=6))]
+
+
+def one_vs_one_models(data, k: int, d: int) -> OneVsOneModel:
+    """All pairs in order, or any non-empty list of pairs, repeats allowed."""
+    categories = tuple(f"c{i}" for i in range(k))
+    every = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
+        lambda p: p[0] != p[1])
+    pairs = tuple(data.draw(st.just(every) | st.lists(pair, min_size=1, max_size=6)))
+    models = tuple(linear_models(data, 2, d, (categories[a], categories[b]))
+                   for a, b in pairs)
+    return OneVsOneModel(categories, pairs, models)
+
+
+def assert_batch_matches_loop(model, fvs) -> None:
+    margins = model.margins_batch(fvs)
+    assert margins.shape == (len(fvs), model.k)
+    assert margins.tobytes() == stacked_margins(model, fvs).tobytes()
+    assert model.predict_batch(fvs).tolist() == looped_predictions(model, fvs)
+
+
+class TestBatchMatchesLoop:
+    @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
+    def test_linear(self, k, d, tiny_chunks, data):
+        model = linear_models(data, k, d, tuple(f"c{i}" for i in range(k)))
+        fvs = vector_batches(data, d)
+        with patch.object(svm, "_MARGIN_CHUNK_FLOATS", 1 if tiny_chunks else
+                          svm._MARGIN_CHUNK_FLOATS):
+            assert_batch_matches_loop(model, fvs)
+
+    @given(st.integers(2, 4), st.integers(1, 6), st.booleans(), st.data())
+    def test_one_vs_one(self, k, d, tiny_chunks, data):
+        model = one_vs_one_models(data, k, d)
+        fvs = vector_batches(data, d)
+        with patch.object(svm, "_MARGIN_CHUNK_FLOATS", 1 if tiny_chunks else
+                          svm._MARGIN_CHUNK_FLOATS):
+            assert_batch_matches_loop(model, fvs)
+
+    @pytest.mark.parametrize("model", [
+        LinearModel(np.ones((3, 2)), np.array([-0.0, 0.0, 1.0]), ("a", "b", "c")),
+        constant_one_vs_one([1.0, -1.0, 1.0], n_features=2)], ids=["linear", "one-vs-one"])
+    def test_empty_batch_and_empty_vectors(self, model):
+        assert model.margins_batch([]).shape == (0, 3)
+        assert model.predict_batch([]).shape == (0,)
+        empty = [FeatureVector({}, 2)] * 3
+        assert_batch_matches_loop(model, empty)
+
+    def test_signed_zero_bias_survives_padding(self):
+        # a short row is padded with -0.0 terms; a -0.0 sum must stay -0.0
+        model = LinearModel(np.array([[0.0, 1.0]]), np.array([-0.0]), ("a",))
+        fvs = [FeatureVector({}, 2), FeatureVector({0: 3.0, 1: 2.0}, 2)]
+        margins = model.margins_batch(fvs)
+        assert np.signbit(margins[0, 0]) and margins[1, 0] == 2.0
+        assert margins.tobytes() == stacked_margins(model, fvs).tobytes()
+
+    def test_every_sign_pattern_of_four_way_votes(self):
+        # pair margins in {-1, 0, +1}: vote ties, summed-margin ties and full ties
+        fvs = [FeatureVector({0: 1.0}, 1)]
+        k, pairs = 4, tuple((a, b) for a in range(4) for b in range(a + 1, 4))
+        categories = tuple(f"c{i}" for i in range(k))
+        for signed in product([-1.0, 0.0, 1.0], repeat=len(pairs)):
+            model = OneVsOneModel(categories, pairs, tuple(
+                LinearModel(np.zeros((2, 1)), np.array([-s, s]),
+                            (categories[a], categories[b]))
+                for (a, b), s in zip(pairs, signed)))
+            assert_batch_matches_loop(model, fvs)
+
+    def test_many_chunks(self):
+        rng = np.random.default_rng(3)
+        d = 300
+        model = LinearModel(rng.normal(size=(8, d)), rng.normal(size=8),
+                            tuple(f"c{i}" for i in range(8)))
+        fvs = [FeatureVector({int(f): float(rng.integers(1, 4))
+                              for f in rng.choice(d, int(rng.integers(0, 120)), replace=False)},
+                             d) for _ in range(700)]
+        assert len(fvs) > svm._MARGIN_CHUNK_FLOATS // (121 * 8)     # several chunks
+        assert_batch_matches_loop(model, fvs)
+
+
+class TestSinglesAreBatchesOfOne:
+    @pytest.mark.parametrize("signed", [[-5.0, 0.1, 0.1], [2.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
+    def test_vote_tie_fixtures(self, signed):
+        model = constant_one_vs_one(signed)
+        x = FeatureVector({0: 1.0}, 1)
+        assert model.margins(x).tobytes() == model.margins_batch([x])[0].tobytes()
+        assert model.predict(x) == model.predict_batch([x])[0]
+        positive = model.models[0]
+        assert positive.margins(x).tobytes() == positive.margins_batch([x])[0].tobytes()
+        assert positive.predict(x) == positive.predict_batch([x])[0]
+
+
+class TestIdsOutsideTheModel:
+    def batch(self):
+        return [FeatureVector({0: 1.0}, 9), FeatureVector({}, 9),
+                FeatureVector({1: 2.0, 7: 1.0, 8: 1.0}, 9)]
+
+    @pytest.mark.parametrize("tiny_chunks", [False, True])
+    def test_linear_names_batch_position_and_id(self, tiny_chunks):
+        model = LinearModel(np.ones((2, 3)), np.zeros(2), ("a", "b"))
+        with patch.object(svm, "_MARGIN_CHUNK_FLOATS", 1 if tiny_chunks else
+                          svm._MARGIN_CHUNK_FLOATS):
+            with pytest.raises(ValueError, match=r"vector 2: feature id 7 outside "
+                                                 r"the model's 3 features"):
+                model.margins_batch(self.batch())
+            with pytest.raises(ValueError, match="vector 2: feature id 7"):
+                model.predict_batch(self.batch())
+
+    def test_one_vs_one_names_batch_position_and_id(self):
+        model = constant_one_vs_one([1.0, 1.0, 1.0], n_features=3)
+        with pytest.raises(ValueError, match="vector 2: feature id 7 outside"):
+            model.margins_batch(self.batch())
+        with pytest.raises(ValueError, match="vector 0: feature id 7"):
+            model.predict(FeatureVector({7: 1.0}, 9))
+
+
+# --- training: the sparse-column step against the dense one ---
+
+def tag_count_dataset(seed: int, k: int, n: int = 30, d: int = 6) -> LabeledDataset:
+    """Small integer tag counts over a shared pool of d tags."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for i in range(n):
+        cid = i % k
+        tags = {int(t) for t in rng.choice(d, int(rng.integers(1, 5)), replace=False)}
+        tags.add(cid)                                   # one tag leans to the category
+        instances.append((FeatureVector({t: float(rng.integers(1, 4)) for t in sorted(tags)},
+                                        d), cid))
+    return LabeledDataset(instances, [f"c{m}" for m in range(k)], d)
+
+
+def counting_ties(grad, gaps_of):
+    """Wrap a dense hinge derivative; count steps with an exactly-zero hinge gap."""
+    ties = [0]
+
+    def loss_grad(i, scores):
+        ties[0] += bool((gaps_of(i, scores) == 0.0).any())
+        return grad(i, scores)
+    return loss_grad, ties
+
+
+def binary_oracle(X, ydec, cfg):
+    grad, ties = counting_ties(dense_binary_hinge_grad(ydec),
+                               lambda i, s: 1.0 - ydec[i] * s)
+    return dense_sgd(X, 1, grad, cfg), ties[0]
+
+
+# (data seed, config, whether the dense run meets exactly-zero hinge gaps):
+# with C = 1/n the step size is 1/t, and integer counts land scores on the
+# margin exactly, where the last rounding bit decides whether a step is taken
+CASES = [pytest.param(7, TrainConfig(epochs=6, seed=7, penalty=1 / 30), True, id="ties"),
+         pytest.param(1, TrainConfig(epochs=6, seed=0), False, id="default"),
+         pytest.param(2, TrainConfig(epochs=9, seed=2, penalty=40.0), False, id="large-C")]
+
+
+class TestTrainingMatchesDenseStep:
+    @pytest.mark.parametrize("seed,cfg,tied", CASES)
+    def test_native(self, seed, cfg, tied):
+        ds = tag_count_dataset(seed, 3)
+        X, y = ds.to_arrays()
+        grad, ties = counting_ties(
+            dense_native_hinge_grad(y),
+            lambda i, s: np.delete(2.0 - (s[y[i]] - s), y[i]))
+        expected = dense_sgd(X, ds.k, grad, cfg)
+        assert train_native(ds, cfg).augmented().tobytes() == expected.tobytes()
+        assert ties[0] or not tied
+
+    @pytest.mark.parametrize("seed,cfg,tied", CASES)
+    def test_one_vs_all(self, seed, cfg, tied):
+        ds = tag_count_dataset(seed, 3)
+        X, y = ds.to_arrays()
+        rows, ties = zip(*(binary_oracle(X, np.where(y == m, 1.0, -1.0), cfg)
+                           for m in range(ds.k)))
+        model = train_one_vs_all(ds, cfg)
+        assert model.augmented().tobytes() == np.vstack(rows).tobytes()
+        assert sum(ties) or not tied
+
+    @pytest.mark.parametrize("seed,cfg,tied", CASES)
+    def test_one_vs_one(self, seed, cfg, tied):
+        ds = tag_count_dataset(seed, 4)
+        X, y = ds.to_arrays()
+        model = train_one_vs_one(ds, cfg)
+        all_ties = 0
+        for (a, b), sub in zip(model.pairs, model.models):
+            mask = (y == a) | (y == b)
+            w, ties = binary_oracle(X[mask], np.where(y[mask] == b, 1.0, -1.0), cfg)
+            assert sub.augmented().tobytes() == np.vstack([-w, w]).tobytes()
+            all_ties += ties
+        assert all_ties or not tied
+
+    @pytest.mark.parametrize("seed,cfg,tied", CASES)
+    def test_binary(self, seed, cfg, tied):
+        ds = tag_count_dataset(seed, 2)
+        X, y = ds.to_arrays()
+        w, ties = binary_oracle(X, np.where(y == 1, 1.0, -1.0), cfg)
+        assert train_binary(ds, cfg).augmented().tobytes() == np.vstack([-w, w]).tobytes()
+        assert ties or not tied
