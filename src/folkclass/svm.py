@@ -14,9 +14,11 @@ feature, so it takes part in the regularizer.  Three multiclass schemes:
 All schemes share one SGD loop over a (rows, d+1) weight matrix; a scheme
 supplies only its hinge derivative with respect to the row scores.  Native
 trains its k coupled rows in one pass; every binary problem (one-vs-all's k
-category-against-rest problems, each one-vs-one pair, train_binary) trains
-one row in a pass of its own.  A step's update touches only the columns
-where the instance is non-zero.
+category-against-rest problems, each one-vs-one pair, train_binary's single
+pair) trains one row in a pass of its own.  Training reads instances only as
+sparse rows: a step scores through one dense buffer, since the dense dot's
+summation order decides exactly-zero hinge gaps, and updates only the
+instance's non-zero columns.
 
 Margins are plain float arrays of length k; prediction is argmax with
 lowest-id tie-break.  Both come from one batched pass over a batch of
@@ -107,7 +109,9 @@ class LabeledDataset:
         return counts
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (n, d+1) matrix with a trailing all-ones bias column, and labels."""
+        """Dense (n, d+1) matrix with a trailing all-ones bias column, and labels.
+
+        The exact objectives use it; training does not build it."""
         n, d = len(self.instances), self.n_features
         X = np.zeros((n, d + 1))
         y = np.zeros(n, dtype=np.int64)
@@ -285,30 +289,35 @@ def _check_no_empty_category(dataset: LabeledDataset) -> None:
                 f"category {dataset.categories[cid]!r} has no training instances")
 
 
-def _nonzeros(dataset: LabeledDataset) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The non-zero columns of each row of `dataset.to_arrays()`, and their values."""
+def _sparse_rows(dataset: LabeledDataset) -> tuple[list[tuple[np.ndarray, np.ndarray]],
+                                                   np.ndarray]:
+    """Per instance, its non-zero columns (bias column d last) and values; and the labels."""
     bias = dataset.n_features
-    return [(np.fromiter(chain(fv.entries, (bias,)), np.intp, len(fv) + 1),
+    rows = [(np.fromiter(chain(fv.entries, (bias,)), np.intp, len(fv) + 1),
              np.fromiter(chain(fv.entries.values(), (1.0,)), float, len(fv) + 1))
             for fv, _ in dataset.instances]
+    return rows, np.array([cid for _, cid in dataset.instances], dtype=np.int64)
 
 
-def _sgd(X: np.ndarray, support: list[tuple[np.ndarray, np.ndarray]], rows: int,
+def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
          loss_grad, cfg: TrainConfig) -> np.ndarray:
-    """Tail-averaged stochastic subgradient descent over a (rows, d+1) matrix W.
+    """Tail-averaged stochastic subgradient descent over an (outputs, dim) matrix W.
 
-    Minimizes 0.5*||W||^2 + C * sum_i loss_i(W x_i).  `loss_grad(i, scores)`
-    returns the non-zero entries of the derivative of instance i's loss with
-    respect to its scores W x_i, as (row, value) pairs; rows it leaves out
-    only take the regularizer step.  The loss step touches only the columns
-    where x_i is non-zero, `support[i]`: at the others it would subtract a
-    zero, and W never holds -0.0 (it starts at +0.0 and exact cancellation
-    rounds to +0.0), so W - 0 == W.
+    Minimizes 0.5*||W||^2 + C * sum_i loss_i(W x_i), x_i holding `rows[i]`'s
+    values at its columns and zero elsewhere.  `loss_grad(i, scores)` returns
+    the non-zero entries of the derivative of instance i's loss with respect
+    to its scores W x_i, as (row, value) pairs; rows it leaves out only take
+    the regularizer step.  A step scores W @ x over a dense buffer that holds
+    x_i only for that product, because the dense dot's summation order
+    decides exactly-zero hinge gaps.  The loss step touches only x_i's
+    columns: at the others it would subtract a zero, and W never holds -0.0
+    (it starts at +0.0 and exact cancellation rounds to +0.0), so W - 0 == W.
     """
-    n, dim = X.shape
+    n = len(rows)
     lam = 1.0 / (cfg.penalty * n)
-    W = np.zeros((rows, dim))
-    W_sum = np.zeros((rows, dim))
+    W = np.zeros((outputs, dim))
+    W_sum = np.zeros((outputs, dim))
+    x = np.zeros(dim)
     rng = np.random.default_rng(cfg.seed)
     total = cfg.epochs * n
     tail_start = total - (total // 2)   # average the final half of the iterates
@@ -316,10 +325,12 @@ def _sgd(X: np.ndarray, support: list[tuple[np.ndarray, np.ndarray]], rows: int,
     for _ in range(cfg.epochs):
         for i in rng.permutation(n):
             t += 1
-            coefs = loss_grad(i, W @ X[i])
+            cols, vals = rows[i]
+            x[cols] = vals
+            coefs = loss_grad(i, W @ x)
+            x[cols] = 0.0
             eta = 1.0 / (lam * t)
             W *= 1.0 - 1.0 / t
-            cols, vals = support[i]
             for r, g in coefs:
                 W[r][cols] -= (eta * g) * vals
             if t >= tail_start:
@@ -360,29 +371,19 @@ def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
                        categories=tuple(categories), meta=_model_meta(cfg, scheme))
 
 
-def _pair_model(X: np.ndarray, support: list[tuple[np.ndarray, np.ndarray]],
-                ydec: np.ndarray, categories: Sequence[str], cfg: TrainConfig) -> LinearModel:
-    """One hyperplane w stored as rows [-w, w]."""
-    w = _sgd(X, support, 1, _binary_hinge_grad(ydec), cfg)
-    return _linear_model(np.vstack([-w, w]), categories, cfg, "binary")
-
-
 def train_native(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Joint multiclass training over all k categories at once."""
     _check_no_empty_category(dataset)
-    X, y = dataset.to_arrays()
-    W = _sgd(X, _nonzeros(dataset), dataset.k, _native_hinge_grad(y), cfg)
+    rows, y = _sparse_rows(dataset)
+    W = _sgd(rows, dataset.n_features + 1, dataset.k, _native_hinge_grad(y), cfg)
     return _linear_model(W, dataset.categories, cfg, "native")
 
 
 def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """Single-hyperplane training; category id 1 is the positive side."""
+    """Single-hyperplane training, category id 1 positive: one-vs-one's only pair."""
     if dataset.k != 2:
         raise ValueError(f"binary training needs exactly 2 categories, got {dataset.k}")
-    _check_no_empty_category(dataset)
-    X, y = dataset.to_arrays()
-    return _pair_model(X, _nonzeros(dataset), np.where(y == 1, 1.0, -1.0),
-                       dataset.categories, cfg)
+    return train_one_vs_one(dataset, cfg).models[0]
 
 
 def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
@@ -393,26 +394,25 @@ def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     product and flips exact-zero hinge gaps on integer tag counts.
     """
     _check_no_empty_category(dataset)
-    X, y = dataset.to_arrays()
-    support = _nonzeros(dataset)
-    W = np.vstack([_sgd(X, support, 1, _binary_hinge_grad(np.where(y == m, 1.0, -1.0)), cfg)
+    rows, y = _sparse_rows(dataset)
+    W = np.vstack([_sgd(rows, dataset.n_features + 1, 1,
+                        _binary_hinge_grad(np.where(y == m, 1.0, -1.0)), cfg)
                    for m in range(dataset.k)])
     return _linear_model(W, dataset.categories, cfg, "one-vs-all")
 
 
 def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel:
-    """k(k-1)/2 pairwise problems on pair-restricted instances."""
+    """k(k-1)/2 pairwise problems on pair-restricted instances, w kept as rows [-w, w]."""
     _check_no_empty_category(dataset)
-    X, y = dataset.to_arrays()
-    support = _nonzeros(dataset)
+    rows, y = _sparse_rows(dataset)
     pairs = [(a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k)]
     models = []
     for a, b in pairs:
         mask = (y == a) | (y == b)
-        models.append(_pair_model(
-            X[mask], [support[i] for i in np.flatnonzero(mask)],
-            np.where(y[mask] == b, 1.0, -1.0),
-            (dataset.categories[a], dataset.categories[b]), cfg))
+        w = _sgd([rows[i] for i in np.flatnonzero(mask)], dataset.n_features + 1, 1,
+                 _binary_hinge_grad(np.where(y[mask] == b, 1.0, -1.0)), cfg)
+        pair = (dataset.categories[a], dataset.categories[b])
+        models.append(_linear_model(np.vstack([-w, w]), pair, cfg, "binary"))
     return OneVsOneModel(categories=tuple(dataset.categories),
                          pairs=tuple(pairs), models=tuple(models),
                          meta=_model_meta(cfg, "one-vs-one"))

@@ -2,6 +2,7 @@
 per-instance loop and the dense step they replaced (tests/svm_oracle.py):
 equal byte for byte, not within a tolerance."""
 
+from dataclasses import replace
 from itertools import product
 from unittest.mock import patch
 
@@ -234,3 +235,21 @@ class TestTrainingMatchesDenseStep:
         w, ties = binary_oracle(X, np.where(y == 1, 1.0, -1.0), cfg)
         assert train_binary(ds, cfg).augmented().tobytes() == np.vstack([-w, w]).tobytes()
         assert ties or not tied
+
+
+def test_training_never_builds_the_dense_matrix(monkeypatch):
+    ds, cfg = tag_count_dataset(7, 3), TrainConfig(epochs=4, seed=3)
+    unlabeled = [fv for fv, _ in tag_count_dataset(8, 3).instances]
+
+    def model_documents() -> list[str]:
+        models = [svm.train(ds, replace(cfg, scheme=scheme)) for scheme in svm.SCHEMES]
+        models.append(train_binary(tag_count_dataset(7, 2), cfg))
+        models.append(svm.self_train_2step(ds, unlabeled, cfg).model)
+        return [svm.model_to_json(m) for m in models]
+
+    expected = model_documents()
+
+    def refuse(self):
+        raise AssertionError("training built the dense matrix")
+    monkeypatch.setattr(LabeledDataset, "to_arrays", refuse)
+    assert model_documents() == expected
