@@ -13,12 +13,11 @@ feature, so it takes part in the regularizer.  Three multiclass schemes:
 
 All schemes share one SGD loop over a (rows, d+1) weight matrix; a scheme
 supplies only its hinge derivative with respect to the row scores.  Native
-trains its k coupled rows in one pass; every binary problem (one-vs-all's k
-category-against-rest problems, each one-vs-one pair, train_binary's single
-pair) trains one row in a pass of its own.  Training reads instances only as
-sparse rows: a step scores through one dense buffer, since the dense dot's
-summation order decides exactly-zero hinge gaps, and updates only the
-instance's non-zero columns.
+and one-vs-all train their k rows in one pass; each one-vs-one pair (and
+train_binary's single pair) trains one row in a pass of its own.  Training
+reads instances only as sparse rows, and a step costs what the instance's
+non-zeros cost: the weights are kept in the Pegasos scaled form and the tail
+average lazily, so no step touches a column the instance does not hold.
 
 Margins are plain float arrays of length k; prediction is argmax with
 lowest-id tie-break.  Both come from one batched pass over a batch of
@@ -306,36 +305,33 @@ def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
     Minimizes 0.5*||W||^2 + C * sum_i loss_i(W x_i), x_i holding `rows[i]`'s
     values at its columns and zero elsewhere.  `loss_grad(i, scores)` returns
     the non-zero entries of the derivative of instance i's loss with respect
-    to its scores W x_i, as (row, value) pairs; rows it leaves out only take
-    the regularizer step.  A step scores W @ x over a dense buffer that holds
-    x_i only for that product, because the dense dot's summation order
-    decides exactly-zero hinge gaps.  The loss step touches only x_i's
-    columns: at the others it would subtract a zero, and W never holds -0.0
-    (it starts at +0.0 and exact cancellation rounds to +0.0), so W - 0 == W.
+    to its scores W x_i, as (row, value) pairs.
+
+    A step costs what x_i's non-zeros cost.  The shrink is exact in the
+    scaled form W_t = V_t / t (Pegasos): V_t = V_{t-1} - (C*n)*g*x_i.  The
+    tail average is lazy (averaged SGD): with G[t] = 1/tail + ... + 1/t (0
+    before the tail), U + G[t]*V stays sum_{tail <= s <= t} V_s/s when each
+    change D to V at step t also adds -G[t-1]*D to U.
     """
     n = len(rows)
-    lam = 1.0 / (cfg.penalty * n)
-    W = np.zeros((outputs, dim))
-    W_sum = np.zeros((outputs, dim))
-    x = np.zeros(dim)
+    scale = cfg.penalty * n             # 1 / lambda
+    V, U = np.zeros((2, outputs, dim))
     rng = np.random.default_rng(cfg.seed)
     total = cfg.epochs * n
     tail_start = total - (total // 2)   # average the final half of the iterates
-    t = 0
-    for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
-            t += 1
-            cols, vals = rows[i]
-            x[cols] = vals
-            coefs = loss_grad(i, W @ x)
-            x[cols] = 0.0
-            eta = 1.0 / (lam * t)
-            W *= 1.0 - 1.0 / t
-            for r, g in coefs:
-                W[r][cols] -= (eta * g) * vals
-            if t >= tail_start:
-                W_sum += W
-    return W_sum / (total - tail_start + 1)
+    G = np.zeros(total + 1)
+    G[tail_start:] = np.cumsum(1.0 / np.arange(tail_start, total + 1))
+    order = chain.from_iterable(rng.permutation(n).tolist() for _ in range(cfg.epochs))
+    for t, i in enumerate(order, 1):
+        cols, vals = rows[i]
+        Vc = V.take(cols, axis=1)
+        coefs = loss_grad(i, Vc.dot(vals) / (t - 1 or 1))   # V_0 = 0
+        for r, g in coefs:
+            step = (scale * g) * vals
+            V[r][cols] = Vc[r] - step
+            if t > tail_start:
+                U[r][cols] += G[t - 1] * step
+    return (U + G[total] * V) / (total - tail_start + 1)
 
 
 def _native_hinge_grad(y: np.ndarray):
@@ -347,6 +343,16 @@ def _native_hinge_grad(y: np.ndarray):
         violated = [(m, 1.0) for m, sm in enumerate(s)
                     if m != yi and 2.0 - (s[yi] - sm) > 0.0]
         return [(yi, -float(len(violated))), *violated] if violated else []
+    return loss_grad
+
+
+def _one_vs_all_hinge_grad(y: np.ndarray, k: int):
+    """Score derivative of sum_m max(0, 1 - y_im*s_m), y_im = 1 if m == y_i else -1."""
+    signs = np.where(y[:, None] == np.arange(k), 1.0, -1.0).tolist()
+
+    def loss_grad(i: int, scores: np.ndarray) -> list[tuple[int, float]]:
+        return [(m, -ym) for m, (ym, s) in enumerate(zip(signs[i], scores.tolist()))
+                if 1.0 - ym * s > 0.0]
     return loss_grad
 
 
@@ -387,17 +393,11 @@ def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
 
 
 def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """k binary problems (category m against the rest), decision by argmax margin.
-
-    Each problem trains its own row: a k-row pass would score all rows with one
-    matrix-vector product, whose rounding differs from a single row's dot
-    product and flips exact-zero hinge gaps on integer tag counts.
-    """
+    """k binary problems (category m against the rest) trained in one k-row pass,
+    since they share instances, C and the seeded order; decision by argmax margin."""
     _check_no_empty_category(dataset)
     rows, y = _sparse_rows(dataset)
-    W = np.vstack([_sgd(rows, dataset.n_features + 1, 1,
-                        _binary_hinge_grad(np.where(y == m, 1.0, -1.0)), cfg)
-                   for m in range(dataset.k)])
+    W = _sgd(rows, dataset.n_features + 1, dataset.k, _one_vs_all_hinge_grad(y, dataset.k), cfg)
     return _linear_model(W, dataset.categories, cfg, "one-vs-all")
 
 

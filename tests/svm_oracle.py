@@ -1,9 +1,10 @@
-"""Reference margin, predict and training code for svm's bit-identity tests.
+"""Reference margin, predict and training code for svm's oracle tests.
 
 These are the per-instance margin loop, the one-vs-one pair loop and the
 dense SGD step that `folkclass.svm` ran before its batched margin pass and
 sparse-column update, kept verbatim (as functions over a model instead of
-methods).  The fast paths must reproduce them byte for byte.
+methods).  The margin and predict paths must reproduce them byte for byte;
+training must match the dense step within the tolerances its tests state.
 """
 
 import numpy as np

@@ -8,8 +8,10 @@ prediction or the writers shows up as a named file.  Outputs that echo
 input paths are hashed with those fields removed.
 
 Training is bit-reproducible on one numpy/BLAS build, not across builds.
-The digests were recorded with numpy 2.4 on OpenBLAS 0.3.31; on another
-build, re-record them by running `golden_outputs` on a known-good commit.
+The digests were recorded with numpy 2.4 on OpenBLAS 0.3.31 and are the
+same under its SkylakeX, Haswell, Sandybridge and Prescott kernels; on
+another build, re-record them by running `golden_outputs` on a known-good
+commit.
 """
 
 import hashlib
@@ -25,47 +27,47 @@ GOLDEN_SHA256 = {
     "bookmarks.jsonl":
         "9c86450ee1530f9ab799d8a2f71646159ae523af5b1c9b3bd153d537d79ff1c4",
     "committee-native.json":
-        "c0385ca7932c3366276f21a8244b2aeccaadd77c1a326a40e44d3e319e956476",
+        "0871bae429e8ff6daa4ca7d95efee8da2b11a3936029623532608dc486373b0d",
     "committee-one-vs-all.json":
-        "76324818cdb4871fe2d2321440c4f734b06269198caca3324f0fa93f51b9bede",
+        "5c62456aff524fa9a00a1d694c54a25ee07ff66ac51ef8a7ecee366d67581edd",
     "committee-one-vs-one.json":
-        "0c5ec2941e2647b9eda568ed650616dea87377470d3b9c3c811b110bd1d6ec17",
+        "d55149a22675c9a4ad5859e3f163b86b5467c27681efc1652a4611f9016a440c",
     "irf-native.eval.json":
         "945afc3bbd0b10b5f9a3cc0bfcbdfaf54b74d21095b3834f76700b2d0eb3840a",
     "irf-native.margins":
-        "891811947fd5404b60c111e1b4b8858555956afe8c0a0a795bc29f83077b3e36",
+        "9353f72a7b67ee3654992eba096da6f2eec5d048f102732b591b72c5a41e511f",
     "irf-native.model.json":
-        "d8b578f8bc82f32195d892f9ffd80bc4fb056945c93fb78c25aac56b834b7709",
+        "853460f058f34e22b7e017108dcea4c0bf12ae6d3801734727fbf7f9a265088a",
     "irf-native.train.json":
         "bbee65b3c396fdd0b5359038cdbf8962bdcb2ea974f6e154723e6edf29daa24b",
     "irf-one-vs-all.eval.json":
         "03533aad053fd51e1801c91825af6ac3b99fab38d604ef8f5ddd7ccb0307b269",
     "irf-one-vs-all.margins":
-        "f60bd8f64b59f5207a40beea2a0bf98f6a7bbe591da9a8cb4d69b6fc2a1e4930",
+        "30790d33c1d0dedc06fcf16fa6cf95ddd3b8a0f2fab97d27f1475ab4f7f767a3",
     "irf-one-vs-all.model.json":
-        "7b426320fd7c369152ae860b661910896967248e5bd274e9e096439ea9ca0de8",
+        "162a06c57eefb2cd574d62078d7ceda7745f27c17005f2da2292a01f9264e88c",
     "irf-one-vs-all.train.json":
         "c6debcf60ff1cfebd82489236e480932c6431c38d79584cfc12316b0e1a10bf4",
     "irf-one-vs-one.eval.json":
         "dce50f4262618a5a0ad6551f2821e9aa8cfa8da9a960e656b6d2c38a0e1445e3",
     "irf-one-vs-one.margins":
-        "79a6fd0bc9d62cab34c445c2322806a32880ac06dad32993a42fca455e238bdd",
+        "ea70f00cb95428cfa9b5a3c03dc3761b3707f03359b2abbabae8c8e457694397",
     "irf-one-vs-one.model.json":
-        "aa20d3f019706014b3a308ca2282bd875f74a972624700e6f197f5167e2613cf",
+        "c62fce4bc52ff6c64454ac7d5842e0000f74b3dc6518caff9dba4f7c8e3f47e2",
     "irf-one-vs-one.train.json":
         "d87510e8ba8d73dc4ac789895fac75b8286f65ad844f71fb0f08bdb2ce2e75a2",
     "irf.tsv":
         "6c547aea176a8fbc4834108ae05fcac1f3eb92e077f7fc15d3a8623a03215b52",
     "self-native.model.json":
-        "7216bbe44f614cb15985d1efd5d1d80697cbf4673054857ff25da8fd4eadd8c7",
+        "ae97c974cb42147ee9f24a0d4ccc38e5c195f8f1237d7a9643d2835d6312c7fd",
     "self-native.train.json":
         "e3ee5a18e2fe7e15055a2ccb8f7aa2a0e88651866fe787c747a5dc2809f72749",
     "self-one-vs-all.model.json":
-        "b1e2e8422418e0c4b4815ff68e6184f8bf8a4bece4c8b8ec93fb2f0d65d76853",
+        "9a1324d7c7753e9b678e2597762f026d78ae5f591dac5ab13b11e4285bcc6448",
     "self-one-vs-all.train.json":
         "82dca957d95d7c8c136610375158f279413949945c1e731b83f3edc578edaa72",
     "self-one-vs-one.model.json":
-        "39ec01bc0dd962ff5c04be3d7c214ce82f095dd4c4483e5744b0ee1fc9ce96f6",
+        "68cfc2f81362b142d9dc8117275cfcc3d3f5eb00bb2c32cebb3bc71f9282aaa0",
     "self-one-vs-one.train.json":
         "8a7c74f516c54c46c6b059c4df7b4a0c285fc5f76f37465e1da6a0d566e56cbc",
     "sweep-committee-native.json":
@@ -77,31 +79,31 @@ GOLDEN_SHA256 = {
     "sweep-single-native.json":
         "f9ab8debb1f2c3ee01787200012bf95653ae361812bb7a6faf462d788ca59b44",
     "sweep-single-one-vs-all.json":
-        "822a0484b6350902cfb12cf25a0f71dbd5e12475069ec17a6d8da9d5c8e587a4",
+        "7c0ecfafef2e1887d6c81b6bccdc8e2a4affee49becb2eebef9deb14b0db4554",
     "sweep-single-one-vs-one.json":
         "2bc4c4cba195f34c4d7298af10b5f54ea67009d36fc8f28c4ac4943c2281c545",
     "tags-native.eval.json":
         "945afc3bbd0b10b5f9a3cc0bfcbdfaf54b74d21095b3834f76700b2d0eb3840a",
     "tags-native.margins":
-        "d3c47e93937fb74872324176fcaa26207592ed62cc0f5f2b1971674b7424beec",
+        "9c93775e66a399b063b16dd5e82faf453ff170089a2d83992d10c157925c282b",
     "tags-native.model.json":
-        "4c3de3ecc3742fd5b9043d28e03968777735fa5306eeefdff2f39e5030c4f95a",
+        "08164eaf355b3b502fdd9a9c283c1810df574c5b32be2effc5dc43d409d6c1bd",
     "tags-native.train.json":
         "bbee65b3c396fdd0b5359038cdbf8962bdcb2ea974f6e154723e6edf29daa24b",
     "tags-one-vs-all.eval.json":
         "03533aad053fd51e1801c91825af6ac3b99fab38d604ef8f5ddd7ccb0307b269",
     "tags-one-vs-all.margins":
-        "b8e30cd4ab5cc0c6366355ea46dd356a04e090e9aace515716ed03ef9a2c4783",
+        "41c8d70a6a7e3f15602002bb038a480a6238247c4dcce52faf3daf9eeee3a163",
     "tags-one-vs-all.model.json":
-        "b641dc8b275a56a449697e95daeeea8b66fd8c66bd2009a14377f750440594ee",
+        "97931aa03a44ee34198c34a11567812a954f8cc8dbaa5f1967a589a859a5599f",
     "tags-one-vs-all.train.json":
         "c6debcf60ff1cfebd82489236e480932c6431c38d79584cfc12316b0e1a10bf4",
     "tags-one-vs-one.eval.json":
         "dce50f4262618a5a0ad6551f2821e9aa8cfa8da9a960e656b6d2c38a0e1445e3",
     "tags-one-vs-one.margins":
-        "8371adc1bdced725cd0be3e832f774a2876008c389dbcebd8296b77129b90943",
+        "d8b722adfa1b75281338e032863d58569334418b2707effaf676ccdd32a8642b",
     "tags-one-vs-one.model.json":
-        "4d99623ee40bde98ff57c1bfff09a4a176c03f6b803976b541aaf11825900247",
+        "ffb22ca0412e8ff239bef0607dde85a89fdd18a1676b156e8073afc967a77ccb",
     "tags-one-vs-one.train.json":
         "d87510e8ba8d73dc4ac789895fac75b8286f65ad844f71fb0f08bdb2ce2e75a2",
     "tags.tsv":
