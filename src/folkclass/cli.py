@@ -167,16 +167,16 @@ def _cmd_eval(args) -> int:
     model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
     vectors = read_vector_lines(_read_lines(args.vectors))
     ds, used = _labeled_dataset(vectors, args.labels, args.level, model.categories)
-    for r in used:
-        top = max(vectors[r].entries, default=-1)
-        if top >= model.n_features:
-            raise ToolkitError(f"{args.vectors}: resource {r!r} has feature id {top}, "
-                               f"outside the model's {model.n_features} features")
-    accuracy = svm.evaluate_accuracy(model, ds)
+    try:
+        accuracy, margins = svm._evaluate(model, ds)
+    except svm._FeatureOutOfWidth as err:   # svm finds it; name the file and the resource
+        r = used[err.vector]
+        raise ToolkitError(f"{args.vectors}: resource {r!r} has feature id "
+                           f"{max(vectors[r].entries)}, outside the model's "
+                           f"{model.n_features} features") from None
     if args.margins_out:
-        table = MarginTable(tuple(used), model.categories,
-                            model.margins_batch([fv for fv, _ in ds.instances]))
-        _write_tsv(write_margin_lines(table), args.margins_out)
+        _write_tsv(write_margin_lines(MarginTable(tuple(used), model.categories, margins)),
+                   args.margins_out)
     _write_json({"meta": {"kind": "eval", "model_meta": model.meta},
                  "n_instances": len(ds), "accuracy": accuracy}, args.output)
     return 0

@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 import logging
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import porter
 from .errors import UnknownResourceError
@@ -73,12 +74,20 @@ class RepresentationScheme:
         return RepresentationScheme(weighting, Selection.TOP_K, int(m.group(1)))
 
 
+def _ordered(pairs: Iterable[tuple]) -> list[tuple]:
+    """(key, weight) pairs by weight descending, then key ascending.
+
+    Sorting by key and then, stably, by weight orders them with no per-item
+    key function; Python's sort stays stable with reverse=True.
+    """
+    return sorted(sorted(pairs), key=itemgetter(1), reverse=True)
+
+
 def top_k_tags(weights: Mapping[str, int], k: int) -> list[tuple[str, int]]:
     """Best-weighted tags: count descending, ties lexicographic ascending."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ordered = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ordered[:k]
+    return _ordered(weights.items())[:k]
 
 
 def represent_resource(f: Folksonomy, resource: str,
@@ -88,35 +97,64 @@ def represent_resource(f: Folksonomy, resource: str,
 
     Rank/weight values are computed on the resource's own tag ordering
     before vocabulary filtering, so out-of-vocabulary tags leave holes
-    rather than shifting weights.
+    rather than shifting weights.  A batch of one through the vectorizer
+    pass that `weighting.vectorize` runs.
     """
-    if resource not in f.all_resource_ids:
-        raise UnknownResourceError(resource)
-    weights = f.resource_tag_weights.get(resource)
-    if not weights:
-        logger.warning("resource %r has no annotated bookmarks; empty vector", resource)
-        return FeatureVector({}, len(vocab))
-    p = f.resource_annotators[resource]
+    return _vectors(f, scheme, vocab, [resource])[resource]
 
-    if scheme.selection is Selection.TOP_K:
-        selected = top_k_tags(weights, scheme.k)
-    else:
-        selected = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
 
-    entries: list[tuple[int, float]] = []
-    for rank, (tag, w) in enumerate(selected, 1):
-        if tag not in vocab:
+def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
+             resources: Iterable[str],
+             ixf: Callable[[str], float] | None = None) -> dict[str, FeatureVector]:
+    """The vectorizer pass: every tag vector is built here, once.
+
+    Each resource's tags are ordered once, by (-w, tag), and that is the
+    entry order of its vector.  `ixf`, when given, maps a tag to the tf-ixf
+    multiplier of its weighted value; it is evaluated once per distinct
+    in-vocabulary tag the resources carry, and an entry it zeroes is
+    dropped.  An unknown id raises before any vector is built.
+    """
+    resources = list(resources)
+    for r in resources:
+        if r not in f.all_resource_ids:
+            raise UnknownResourceError(r)
+    token_to_id, dim, k = vocab.token_to_id, len(vocab), scheme.k
+    tag_weights = f.resource_tag_weights
+    if ixf is not None:
+        own = dict.fromkeys(t for r in resources for t in tag_weights.get(r, ())
+                            if t in token_to_id)
+        factor = {token_to_id[t]: ixf(t) for t in own}
+    out: dict[str, FeatureVector] = {}
+    for r in resources:
+        weights = tag_weights.get(r)
+        if not weights:
+            logger.warning("resource %r has no annotated bookmarks; empty vector", r)
+            out[r] = FeatureVector({}, dim)
             continue
-        if scheme.weighting is Weighting.RANKS:
-            value = (scheme.k - rank + 1) / scheme.k
-        elif scheme.weighting is Weighting.FRACTIONS:
-            value = w / p
-        elif scheme.weighting is Weighting.UNWEIGHTED:
-            value = 1.0
+        if scheme.selection is Selection.FTA:
+            # vocabulary ids follow token order, so (-w, id) is (-w, tag)
+            selected = _ordered([(token_to_id[t], w) for t, w in weights.items()
+                                 if t in token_to_id])
         else:
-            value = float(w)
-        entries.append((vocab.id_of(tag), value))
-    return FeatureVector.from_items(entries, len(vocab))
+            # an out-of-vocabulary tag still takes its rank slot
+            top = _ordered(weights.items())[:k]
+            if scheme.weighting is Weighting.RANKS:
+                out[r] = FeatureVector({token_to_id[t]: (k - rank + 1) / k
+                                        for rank, (t, _) in enumerate(top, 1)
+                                        if t in token_to_id}, dim)
+                continue
+            selected = [(token_to_id[t], w) for t, w in top if t in token_to_id]
+        if scheme.weighting is Weighting.FRACTIONS:
+            p = f.resource_annotators[r]
+            entries = {i: w / p for i, w in selected}
+        elif scheme.weighting is Weighting.UNWEIGHTED:
+            entries = {i: 1.0 for i, _ in selected}
+        elif ixf is None:
+            entries = {i: float(w) for i, w in selected}
+        else:
+            entries = {i: v for i, w in selected if (v := float(w) * factor[i]) != 0.0}
+        out[r] = FeatureVector(entries, dim)
+    return out
 
 
 def tag_vocabulary(f: Folksonomy, min_df_fraction: float = 0.0) -> Vocabulary:

@@ -56,6 +56,19 @@ _HINGE_EXPONENT = 1   # the only loss is the plain hinge; echoed for format stab
 _MARGIN_CHUNK_FLOATS = 1 << 14   # bound on a margin pass's (rows, L+1, k) temporary
 
 
+class _FeatureOutOfWidth(ValueError):
+    """A scored vector holds a feature id at or above the model's width.
+
+    `vector` is its index in the scored batch, so that a caller that knows
+    the vectors' names can name the culprit.
+    """
+
+    def __init__(self, vector: int, feature: int, width: int):
+        super().__init__(f"vector {vector}: feature id {feature} "
+                         f"outside the model's {width} features")
+        self.vector = vector
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     penalty: float = 1.0       # C
@@ -184,8 +197,7 @@ class LinearModel:
             float, ids.size)
         if ids.size and ids.max() >= self.n_features:
             pos = int(np.argmax(ids >= self.n_features))
-            raise ValueError(f"vector {first + pos // width}: feature id {ids[pos]} "
-                             f"outside the model's {self.n_features} features")
+            raise _FeatureOutOfWidth(first + pos // width, ids[pos], self.n_features)
         terms = self._term_rows[ids]
         terms *= vals[:, None]
         terms = terms.reshape(len(entries), width, self.k)
@@ -193,7 +205,12 @@ class LinearModel:
 
     def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
         """Category id of every vector: argmax margin, lowest id on ties."""
-        return np.argmax(self.margins_batch(fvs), axis=1)
+        return self._scores(fvs)[1]
+
+    def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+        """`margins_batch` and `predict_batch` from one margin pass."""
+        margins = self.margins_batch(fvs)
+        return margins, np.argmax(margins, axis=1)
 
     def margins(self, fv: FeatureVector) -> np.ndarray:
         return self.margins_batch([fv])[0]
@@ -264,12 +281,16 @@ class OneVsOneModel:
     def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
         """Most pairwise wins (b wins pair (a, b) if its signed margin is > 0,
         else a); ties by summed signed margins, then lowest id."""
+        return self._scores(fvs)[1]
+
+    def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
+        """`margins_batch` and `predict_batch` from one per-side table."""
         per_side = self._per_side(fvs)
         votes = ((per_side > 0.0) == (self._sides[1] > 0.0)).sum(axis=2)
         sums = self._category_sums(per_side)
         best = votes == votes.max(axis=1, keepdims=True)
         best &= sums == np.where(best, sums, -np.inf).max(axis=1, keepdims=True)
-        return np.argmax(best, axis=1)
+        return sums, np.argmax(best, axis=1)
 
     def margins(self, fv: FeatureVector) -> np.ndarray:
         return self.margins_batch([fv])[0]
@@ -454,11 +475,16 @@ def self_train_2step(labeled: LabeledDataset,
 
 def evaluate_accuracy(model: Model, test: LabeledDataset) -> float:
     """Fraction of correct predictions; every instance weighs the same."""
+    return _evaluate(model, test)[0]
+
+
+def _evaluate(model: Model, test: LabeledDataset) -> tuple[float, np.ndarray]:
+    """Accuracy and the (n, k) margins of the test set, from one scoring pass."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    predicted = model.predict_batch([fv for fv, _ in test.instances])
+    margins, predicted = model._scores([fv for fv, _ in test.instances])
     correct = sum(1 for p, (_, cid) in zip(predicted.tolist(), test.instances) if p == cid)
-    return correct / len(test)
+    return correct / len(test), margins
 
 
 # --- exact primal objectives and their (sub)gradients, on augmented arrays ---

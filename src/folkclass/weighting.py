@@ -14,8 +14,7 @@ from collections.abc import Iterable, Sequence
 
 from .errors import DegenerateInputError, UnknownTagError
 from .folksonomy import Folksonomy
-from .representation import (RepresentationScheme, Selection, Weighting,
-                             represent_resource)
+from .representation import RepresentationScheme, Selection, Weighting, _vectors
 from .vectors import FeatureVector, Vocabulary
 
 __all__ = [
@@ -54,17 +53,14 @@ def weight_resource(f: Folksonomy, resource: str,
 
     A tag saturating its dimension gets weight 0 and is dropped; with
     kind=NONE this equals the weighted full-tagging-activity representation.
+    A batch of one through `vectorize`.
     """
-    base = represent_resource(
-        f, resource, RepresentationScheme(Weighting.WEIGHTED, Selection.FTA), vocab)
-    entries = [
-        (fid, w * inverse_frequency(vocab.id_to_token[fid], f, kind))
-        for fid, w in base.entries.items()
-    ]
-    return FeatureVector.from_items(entries, len(vocab))
+    return vectorize(f, kind, vocab, [resource])[resource]
 
 
 Member = RepresentationScheme | InverseFrequencyKind   # tag representation or tf-ixf
+
+_WEIGHTED_FTA = RepresentationScheme(Weighting.WEIGHTED, Selection.FTA)   # tf-ixf's tf
 
 
 def parse_member(text: str) -> Member:
@@ -85,10 +81,21 @@ def member_name(member: Member) -> str:
 
 def vectorize(f: Folksonomy, member: Member, vocab: Vocabulary,
               resources: Iterable[str]) -> dict[str, FeatureVector]:
-    """Vector of each resource under `member`, keyed in the given order."""
+    """Vector of each resource under `member`, keyed in the given order.
+
+    One vectorizer pass per call, the only code that turns tags into
+    vectors: its cost grows with the resources' non-zeros plus their
+    distinct tags (each tag's inverse frequency is computed once), not with
+    the vocabulary.  Entries are in (-w, tag) order, the order in which
+    margins and SGD steps sum them, and each value comes from the same
+    expression whatever the batch: so a vector, and every score summed from
+    it, is the same byte for byte however the resources are batched.
+    """
     if isinstance(member, RepresentationScheme):
-        return {r: represent_resource(f, r, member, vocab) for r in resources}
-    return {r: weight_resource(f, r, member, vocab) for r in resources}
+        return _vectors(f, member, vocab, resources)
+    ixf = None if member is InverseFrequencyKind.NONE else (
+        lambda tag: inverse_frequency(tag, f, member))
+    return _vectors(f, _WEIGHTED_FTA, vocab, resources, ixf)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

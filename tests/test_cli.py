@@ -11,6 +11,7 @@ import pytest
 
 import folkclass
 from folkclass import svm
+from folkclass.choices import SCHEMES
 from folkclass.cli import build_parser, main
 from folkclass.folksonomy import (Bookmark, bookmark_to_line, ingest_bookmarks,
                                   parse_category_lines)
@@ -312,6 +313,31 @@ class TestEvalCategories:
                     "--labels", renamed]) == 1
         err = capsys.readouterr().err
         assert "'cat9'" in err and "Traceback" not in err
+
+
+class TestEvalScoresOnce:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_accuracy_and_margins_come_from_one_margin_pass(self, tmp_path, capsys,
+                                                            monkeypatch, scheme):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--scheme", scheme, "--epochs", 5, "--model-out", model]) == 0
+        passes = []
+        margins_batch = svm.LinearModel.margins_batch
+
+        def counted(self, fvs):
+            passes.append(len(fvs))
+            return margins_batch(self, fvs)
+
+        monkeypatch.setattr(svm.LinearModel, "margins_batch", counted)
+        capsys.readouterr()
+        margins = tmp_path / "eval.margins"
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path, "--margins-out", margins]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert passes == [report["n_instances"]]
+        assert margins.read_text().count("\n") == report["n_instances"]
 
 
 class TestMalformedFiles:

@@ -12,8 +12,7 @@ from folkclass.representation import (RepresentationScheme, represent_resource,
                                       tag_vocabulary)
 from folkclass.weighting import (InverseFrequencyKind, correlate_weightings,
                                  fractional_ranks, inverse_frequency, member_name,
-                                 parse_member, pearson, spearman, vectorize,
-                                 weight_resource)
+                                 parse_member, pearson, spearman, weight_resource)
 
 from conftest import brute_force_frequencies, random_bookmarks
 
@@ -127,16 +126,6 @@ class TestMembers:
     def test_unknown_names_rejected(self, name):
         with pytest.raises(ValueError):
             parse_member(name)
-
-    def test_vectorize_dispatches_by_member(self):
-        f = ingest_bookmarks(random_bookmarks(np.random.default_rng(3)))
-        vocab = tag_vocabulary(f)
-        resources = sorted(f.resource_tag_weights)[:5]
-        scheme = RepresentationScheme.parse("fractions-fta")
-        assert vectorize(f, scheme, vocab, resources) == {
-            r: represent_resource(f, r, scheme, vocab) for r in resources}
-        assert vectorize(f, IRF, vocab, resources) == {
-            r: weight_resource(f, r, IRF, vocab) for r in resources}
 
 
 class TestPearson:
