@@ -11,13 +11,16 @@ feature, so it takes part in the regularizer.  Three multiclass schemes:
 * one-vs-one -- k(k-1)/2 pairwise hyperplanes, decision by majority vote,
                 ties by summed signed margins, then lowest category id
 
-All schemes share one SGD loop over a (rows, d+1) weight matrix; a scheme
-supplies only its hinge derivative with respect to the row scores.  Native
-and one-vs-all train their k rows in one pass; each one-vs-one pair (and
-train_binary's single pair) trains one row in a pass of its own.  Training
-reads instances only as sparse rows, and a step costs what the instance's
-non-zeros cost: the weights are kept in the Pegasos scaled form and the tail
-average lazily, so no step touches a column the instance does not hold.
+Native and one-vs-all train their k rows in one SGD pass over a (k, d+1)
+weight matrix, each scheme supplying only its hinge derivative with respect
+to the row scores.  One-vs-one trains its P = k(k-1)/2 pairs (train_binary's
+single pair included) as the rows of one (P, d+1) pair matrix, in one
+lockstep pass: at step t every pair takes its own t-th step, with the order,
+C and tail average it would have alone.  Both loops take their schedule from
+one helper.  Training reads instances only as sparse rows, and a step costs
+what the instance's non-zeros cost: the weights are kept in the Pegasos
+scaled form and the tail average lazily, so no step touches a column the
+instance does not hold.
 
 Margins are plain float arrays of length k; prediction is argmax with
 lowest-id tie-break.  Both come from one batched pass over a batch of
@@ -54,6 +57,7 @@ MODEL_FORMAT = "folkclass-model/1"
 MODEL_KINDS = ("linear", "one-vs-one")
 _HINGE_EXPONENT = 1   # the only loss is the plain hinge; echoed for format stability
 _MARGIN_CHUNK_FLOATS = 1 << 14   # bound on a margin pass's (rows, L+1, k) temporary
+_LOCKSTEP_ENTRIES = 1 << 14      # bound on a one-vs-one lockstep block's gathered entries
 
 
 class _FeatureOutOfWidth(ValueError):
@@ -135,6 +139,11 @@ class LabeledDataset:
         return X, y
 
 
+def _require_finite(weights: np.ndarray, biases: np.ndarray) -> None:
+    if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
+        raise ValueError("model has non-finite parameters")
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """Per-category weight vectors and biases; margins are w_m.x + b_m."""
@@ -145,8 +154,7 @@ class LinearModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
-            raise ValueError("model has non-finite parameters")
+        _require_finite(self.weights, self.biases)
 
     @property
     def k(self) -> int:
@@ -221,12 +229,21 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class OneVsOneModel:
-    """Pairwise binary models; predicts the category with most pairwise wins."""
+    """Pairwise hyperplanes as one pair matrix; predicts the category with
+    most pairwise wins.
+
+    Row p of `weights` and `biases` is pair p = (a, b)'s hyperplane w, whose
+    margin w.x + b is positive where b wins the pair and negative where a does.
+    """
 
     categories: tuple[str, ...]
     pairs: tuple[tuple[int, int], ...]
-    models: tuple[LinearModel, ...]
+    weights: np.ndarray            # (P, d)
+    biases: np.ndarray             # (P,)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        _require_finite(self.weights, self.biases)
 
     @property
     def k(self) -> int:
@@ -234,14 +251,23 @@ class OneVsOneModel:
 
     @property
     def n_features(self) -> int:
-        return self._positive_rows.n_features
+        return self.weights.shape[1]
 
     @cached_property
-    def _positive_rows(self) -> LinearModel:
-        """Every pair's positive row stacked once, so one pass scores all pairs."""
-        return LinearModel(weights=np.vstack([m.weights[1] for m in self.models]),
-                           biases=np.array([m.biases[1] for m in self.models]),
+    def _pair_rows(self) -> LinearModel:
+        """The pair matrix, uncopied, as a P-row model: one pass scores all pairs."""
+        return LinearModel(weights=self.weights, biases=self.biases,
                            categories=tuple(f"{a}:{b}" for a, b in self.pairs))
+
+    @property
+    def models(self) -> tuple[LinearModel, ...]:
+        """Each pair as a two-row binary model [-w, w] over its two categories,
+        derived from the pair matrix: the sub-models model files hold."""
+        meta = {**self.meta, "scheme": "binary"}
+        return tuple(LinearModel(weights=np.vstack([-w, w]), biases=np.array([-bias, bias]),
+                                 categories=(self.categories[a], self.categories[b]),
+                                 meta=meta)
+                     for (a, b), w, bias in zip(self.pairs, self.weights, self.biases))
 
     @cached_property
     def _sides(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +290,9 @@ class OneVsOneModel:
                 np.array([[sign for _, sign in side] for side in padded]))
 
     def _per_side(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        """Every pair's signed margin (w.x for the pair's positive row) in the
-        `_sides` layout, (n, k, m)."""
-        signed = self._positive_rows.margins_batch(fvs)
+        """Every pair's signed margin (its row's w.x + b) in the `_sides`
+        layout, (n, k, m)."""
+        signed = self._pair_rows.margins_batch(fvs)
         return np.hstack([signed, np.zeros((len(signed), 1))])[:, self._sides[0]]
 
     def _category_sums(self, per_side: np.ndarray) -> np.ndarray:
@@ -319,6 +345,23 @@ def _sparse_rows(dataset: LabeledDataset) -> tuple[list[tuple[np.ndarray, np.nda
     return rows, np.array([cid for _, cid in dataset.instances], dtype=np.int64)
 
 
+def _schedule(n: int, cfg: TrainConfig) -> tuple[np.ndarray, int, np.ndarray]:
+    """The step schedule of a problem over n instances.
+
+    Returns the instance of each step t = 1..epochs*n (a fresh permutation
+    from `default_rng(cfg.seed)` per epoch), the step `tail` whose iterate
+    starts the tail average, and G with G[t] = 1/tail + ... + 1/t from the
+    tail on and 0 before it.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    order = np.concatenate([rng.permutation(n) for _ in range(cfg.epochs)])
+    total = len(order)
+    tail = total - (total // 2)   # average the final half of the iterates
+    G = np.zeros(total + 1)
+    G[tail:] = np.cumsum(1.0 / np.arange(tail, total + 1))
+    return order, tail, G
+
+
 def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
          loss_grad, cfg: TrainConfig) -> np.ndarray:
     """Tail-averaged stochastic subgradient descent over an (outputs, dim) matrix W.
@@ -330,29 +373,165 @@ def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
 
     A step costs what x_i's non-zeros cost.  The shrink is exact in the
     scaled form W_t = V_t / t (Pegasos): V_t = V_{t-1} - (C*n)*g*x_i.  The
-    tail average is lazy (averaged SGD): with G[t] = 1/tail + ... + 1/t (0
-    before the tail), U + G[t]*V stays sum_{tail <= s <= t} V_s/s when each
-    change D to V at step t also adds -G[t-1]*D to U.
+    tail average is lazy (averaged SGD): with G from `_schedule`, U + G[t]*V
+    stays sum_{tail <= s <= t} V_s/s when each change D to V at step t also
+    adds -G[t-1]*D to U.
     """
-    n = len(rows)
-    scale = cfg.penalty * n             # 1 / lambda
+    scale = cfg.penalty * len(rows)     # 1 / lambda
     V, U = np.zeros((2, outputs, dim))
-    rng = np.random.default_rng(cfg.seed)
-    total = cfg.epochs * n
-    tail_start = total - (total // 2)   # average the final half of the iterates
-    G = np.zeros(total + 1)
-    G[tail_start:] = np.cumsum(1.0 / np.arange(tail_start, total + 1))
-    order = chain.from_iterable(rng.permutation(n).tolist() for _ in range(cfg.epochs))
-    for t, i in enumerate(order, 1):
+    order, tail, G = _schedule(len(rows), cfg)
+    for t, i in enumerate(order.tolist(), 1):
         cols, vals = rows[i]
         Vc = V.take(cols, axis=1)
         coefs = loss_grad(i, Vc.dot(vals) / (t - 1 or 1))   # V_0 = 0
         for r, g in coefs:
             step = (scale * g) * vals
             V[r][cols] = Vc[r] - step
-            if t > tail_start:
+            if t > tail:
                 U[r][cols] += G[t - 1] * step
-    return (U + G[total] * V) / (total - tail_start + 1)
+    return (U + G[-1] * V) / (len(order) - tail + 1)
+
+
+def _train_pairs(rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
+                 pairs: Sequence[tuple[int, int]], dim: int, cfg: TrainConfig) -> np.ndarray:
+    """Every pair's binary problem, trained into one row of a (P, dim) matrix.
+
+    Pair (a, b) minimizes 0.5*||w||^2 + C * sum_i max(0, 1 - y_i w.x_i) over
+    the n_p instances of a and b, y_i = +1 for b, and takes exactly the steps
+    `_sgd` would take on them alone: its `_schedule(n_p)`, 1/lambda = C*n_p
+    and a step only where the hinge is violated.  Only the loop order across
+    pairs changes.  While two or more pairs have steps left, step t is one
+    lockstep: every pair with a t-th step takes it, in one gather, score and
+    update over the concatenated columns of those pairs' instances.  The
+    last pair left goes on alone.  The lockstep's entry arrays are built in
+    blocks of steps of at most about `_LOCKSTEP_ENTRIES` entries.
+
+    The lockstep sums a pair's score in another order than `_sgd`'s dot
+    product, so the two sums can differ in their last bits.  Only the hinge
+    test reads the score, and a score whose distance from the hinge is
+    within a bound on both sums' rounding is rescored by that dot product.
+    So every step is `_sgd`'s, and the weights are the same byte for byte.
+    """
+    P = len(pairs)
+    members = [np.flatnonzero((y == a) | (y == b)) for a, b in pairs]
+    signs = [np.where(y[m] == b, 1.0, -1.0) for m, (_, b) in zip(members, pairs)]
+    schedules = {n: _schedule(n, cfg) for n in {len(m) for m in members}}
+    plans = [schedules[len(m)] for m in members]            # (order, tail, G) per pair
+    totals = [len(order) for order, _, _ in plans]
+    scale = cfg.penalty * np.array([len(m) for m in members], dtype=float)
+    V, U = np.zeros((2, P, dim))
+    longest = max(range(P), key=totals.__getitem__)
+    shared = max((n for p, n in enumerate(totals) if p != longest), default=0)
+    if shared:
+        _lockstep(rows, members, signs, plans, scale, shared, V, U)
+
+    order, tail, G = plans[longest]
+    Vp, Up, p_scale = V[longest:longest + 1], U[longest], float(scale[longest])
+    alone = order[shared:]
+    for t, i, yi in zip(range(shared + 1, totals[longest] + 1),
+                        members[longest][alone].tolist(), signs[longest][alone].tolist()):
+        cols, vals = rows[i]
+        Vc = Vp.take(cols, axis=1)
+        if 1.0 - yi * (Vc.dot(vals) / (t - 1 or 1)).item() > 0.0:
+            step = (p_scale * -yi) * vals
+            Vp[0, cols] = Vc[0] - step
+            if t > tail:
+                Up[cols] += G[t - 1] * step
+    V *= np.array([G[-1] for _, _, G in plans])[:, None]     # (U + G[-1]*V) / count,
+    V += U                                                     # in place
+    V /= np.array([len(order) - tail + 1 for order, tail, _ in plans])[:, None]
+    return V
+
+
+def _lockstep(rows: list[tuple[np.ndarray, np.ndarray]], members: list[np.ndarray],
+              signs: list[np.ndarray], plans: list[tuple[np.ndarray, int, np.ndarray]],
+              scale: np.ndarray, steps: int, V: np.ndarray, U: np.ndarray) -> None:
+    """Steps 1..`steps` of `_train_pairs`: in step t, every pair with a t-th step.
+
+    A pair row is one pair's member instance; its entries are the instance's
+    non-zeros, each with its flat index into V (row p, the entry's column),
+    its value times y, and `_sgd`'s step on it, (C*n_p*g) * x with g = -y.
+    A slot is one pair's step on one pair row.  A block of steps lays its
+    slots' entries out step by step, so a step gathers its V entries at once,
+    sums each slot's signed score and writes the steps of the violated slots.
+    U is only read at the end, so a block adds its tail steps' G[t-1] * step
+    to U after its last step, each element's terms in step order.
+
+    A rescore bound: a sum of L products V_j x_j, in any order, is within
+    2u * L * sum_j |V_j x_j| of the exact sum (u = eps/2), so two sums are
+    within twice that, and |V_j| <= (t-1) * C*n_p * max|x|.  A score whose
+    distance from the hinge exceeds 4u * ((L+2) * (t-1) * C*n_p * max|x| *
+    sum|x| + (t-1)) decides the hinge test as any other sum would.
+    """
+    P, dim = V.shape
+    lengths = np.array([len(cols) for cols, _ in rows])
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    all_cols = np.concatenate([cols for cols, _ in rows])
+    all_vals = np.concatenate([vals for _, vals in rows])
+    # the pair rows, pair by pair, and their entries
+    row_inst = np.concatenate(members)
+    row_pair = np.repeat(np.arange(P), [len(m) for m in members])
+    row_sign = np.concatenate(signs)
+    row_len = lengths[row_inst]
+    row_entries = np.concatenate([[0], np.cumsum(row_len)])
+    source = np.arange(row_entries[-1]) + np.repeat(offsets[row_inst] - row_entries[:-1],
+                                                    row_len)
+    pair_flat = np.repeat(row_pair * dim, row_len) + all_cols[source]
+    pair_signed = np.repeat(row_sign, row_len) * all_vals[source]
+    pair_step = np.repeat(scale[row_pair] * -row_sign, row_len) * all_vals[source]
+    del source
+    # per pair row, the rescore bound's 4u * (L+2) * C*n_p * max|x| * sum|x|
+    row_bound = (2 * np.finfo(float).eps * (row_len + 2) * np.abs(all_vals).max()
+                 * np.add.reduceat(np.abs(all_vals), offsets[:-1])[row_inst]
+                 * scale[row_pair])
+    first_row = np.concatenate([[0], np.cumsum([len(m) for m in members])])
+    Vflat, Uflat = V.reshape(-1), U.reshape(-1)
+    block = max(1, _LOCKSTEP_ENTRIES // (P * int(lengths.mean() + 1)))
+    for t0 in range(1, steps + 1, block):
+        B = min(block, steps + 1 - t0)
+        table = np.full((B, P), -1)
+        gain = np.zeros((B, P))
+        for p, (order, _, G) in enumerate(plans):
+            local = order[t0 - 1:t0 - 1 + B]
+            table[:len(local), p] = first_row[p] + local
+            gain[:len(local), p] = G[t0 - 1:t0 - 1 + len(local)]
+        # slots in step-major order, then their entries
+        live = np.flatnonzero(table >= 0)
+        slot_row, slot_step = table.flat[live], live // P
+        slot_bounds = np.searchsorted(slot_step, np.arange(B + 1))
+        slot_len = row_len[slot_row]
+        prior = np.arange(t0 - 1, t0 - 1 + B)                          # t - 1
+        step_tol = (2 * np.finfo(float).eps * np.maximum(prior, 1) + prior
+                    * np.maximum.reduceat(row_bound[slot_row], slot_bounds[:-1])).tolist()
+        slot_entries = np.concatenate([[0], np.cumsum(slot_len)])
+        at = np.arange(slot_entries[-1]) + np.repeat(
+            row_entries[slot_row] - slot_entries[:-1], slot_len)
+        flat, signed, step = pair_flat[at], pair_signed[at], pair_step[at]
+        seg = np.repeat(np.arange(len(live)) - slot_bounds[slot_step], slot_len)
+        first = slot_entries[:-1] - slot_entries[slot_bounds[slot_step]]   # within its step
+        taken = np.zeros(len(at), dtype=bool)
+        step_bounds = slot_entries[slot_bounds].tolist()
+        slot_bounds = slot_bounds.tolist()
+        for t, s0, s1, e0, e1, tol in zip(range(t0, t0 + B), slot_bounds, slot_bounds[1:],
+                                          step_bounds, step_bounds[1:], step_tol):
+            den = t - 1 or 1                                          # V_0 = 0
+            cols = flat[e0:e1]
+            Vc = Vflat.take(cols)
+            gap = np.add.reduceat(Vc * signed[e0:e1], first[s0:s1]) - den   # y*V.x - (t-1)
+            violated = gap < 0.0
+            dist = np.abs(gap)
+            if np.minimum.reduce(dist) <= tol:
+                for s in (dist <= tol).nonzero()[0].tolist():
+                    r = slot_row[s0 + s]
+                    icols, ivals = rows[row_inst[r]]
+                    p = row_pair[r]
+                    score = (V[p:p + 1].take(icols, axis=1).dot(ivals) / den).item()
+                    violated[s] = 1.0 - row_sign[r] * score > 0.0
+            on = taken[e0:e1] = violated.take(seg[e0:e1])
+            Vflat[cols] = Vc - step[e0:e1] * on
+        G_before = np.repeat(gain.flat[live], slot_len)               # G[t-1]
+        taken &= G_before > 0.0
+        np.add.at(Uflat, flat[taken], G_before[taken] * step[taken])
 
 
 def _native_hinge_grad(y: np.ndarray):
@@ -374,16 +553,6 @@ def _one_vs_all_hinge_grad(y: np.ndarray, k: int):
     def loss_grad(i: int, scores: np.ndarray) -> list[tuple[int, float]]:
         return [(m, -ym) for m, (ym, s) in enumerate(zip(signs[i], scores.tolist()))
                 if 1.0 - ym * s > 0.0]
-    return loss_grad
-
-
-def _binary_hinge_grad(ydec: np.ndarray):
-    """Score derivative of max(0, 1 - y_i*s) for one row, with y_i in {-1, +1}."""
-    ys = ydec.tolist()
-
-    def loss_grad(i: int, scores: np.ndarray) -> tuple[tuple[int, float], ...]:
-        yi = ys[i]
-        return ((0, -yi),) if 1.0 - yi * scores.item() > 0.0 else ()
     return loss_grad
 
 
@@ -423,19 +592,14 @@ def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
 
 
 def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel:
-    """k(k-1)/2 pairwise problems on pair-restricted instances, w kept as rows [-w, w]."""
+    """k(k-1)/2 pairwise problems on pair-restricted instances, trained in one
+    lockstep pass into the rows of one pair matrix."""
     _check_no_empty_category(dataset)
     rows, y = _sparse_rows(dataset)
-    pairs = [(a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k)]
-    models = []
-    for a, b in pairs:
-        mask = (y == a) | (y == b)
-        w = _sgd([rows[i] for i in np.flatnonzero(mask)], dataset.n_features + 1, 1,
-                 _binary_hinge_grad(np.where(y[mask] == b, 1.0, -1.0)), cfg)
-        pair = (dataset.categories[a], dataset.categories[b])
-        models.append(_linear_model(np.vstack([-w, w]), pair, cfg, "binary"))
-    return OneVsOneModel(categories=tuple(dataset.categories),
-                         pairs=tuple(pairs), models=tuple(models),
+    pairs = tuple((a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k))
+    W = _train_pairs(rows, y, pairs, dataset.n_features + 1, cfg)
+    return OneVsOneModel(categories=tuple(dataset.categories), pairs=pairs,
+                         weights=W[:, :-1], biases=W[:, -1],
                          meta=_model_meta(cfg, "one-vs-one"))
 
 
@@ -552,10 +716,10 @@ def objective_value(model: Model, dataset: LabeledDataset, cfg: TrainConfig) -> 
     if not isinstance(model, OneVsOneModel):
         raise TypeError("one-vs-one objective needs a OneVsOneModel")
     total = 0.0
-    for (a, b), sub in zip(model.pairs, model.models):
+    for (a, b), w in zip(model.pairs, np.hstack([model.weights, model.biases[:, None]])):
         mask = (y == a) | (y == b)
         ydec = np.where(y[mask] == b, 1.0, -1.0)
-        total += binary_objective(sub.augmented()[1], X[mask], ydec, C)
+        total += binary_objective(w, X[mask], ydec, C)
     return total
 
 
@@ -620,15 +784,20 @@ def _one_vs_one_from_doc(doc: dict) -> OneVsOneModel:
         raise ValueError(f"one-vs-one model 'sub_models' is not a list of "
                          f"{len(pairs)} models, one per pair")
     models = tuple(_linear_from_doc(s) for s in sub_docs)
-    for (a, b), m in zip(pairs, models):
+    for i, ((a, b), m) in enumerate(zip(pairs, models)):
         if m.categories != (categories[a], categories[b]):
             raise ValueError(f"one-vs-one sub-model categories {list(m.categories)} "
                              f"do not match pair {[a, b]}")
-    if len({m.weights.shape[1] for m in models}) > 1:
-        raise ValueError("one-vs-one sub-models differ in feature dimensionality")
+        if m.n_features != models[0].n_features:
+            raise ValueError("one-vs-one sub-models differ in feature dimensionality")
+        if not (np.array_equal(m.weights[0], -m.weights[1]) and m.biases[0] == -m.biases[1]):
+            raise ValueError(f"one-vs-one sub-model {i} (pair {[a, b]}): row 0 is not "
+                             f"the negation of row 1")
     return OneVsOneModel(categories=categories,
                          pairs=tuple((a, b) for a, b in pairs),
-                         models=models, meta=doc.get("meta", {}))
+                         weights=np.vstack([m.weights[1] for m in models]),
+                         biases=np.array([m.biases[1] for m in models]),
+                         meta=doc.get("meta", {}))
 
 
 def model_to_json(model: Model) -> str:

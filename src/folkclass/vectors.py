@@ -115,8 +115,8 @@ def read_pair_lines(lines: Iterable[str], label_type: Callable[[str], object],
     """Parse `key<TAB>label:value ...` lines into (line number, key, {label: value}).
 
     Blank lines are skipped.  A label may hold colons but no whitespace.  A
-    line without a TAB, with a bad pair or with a repeated label raises
-    MalformedRecordError.
+    line without a TAB, with a bad pair, with a non-finite value (nan, inf)
+    or with a repeated label raises MalformedRecordError.
     """
     for line_number, line in enumerate(lines, 1):
         if not line.strip():
@@ -131,10 +131,13 @@ def read_pair_lines(lines: Iterable[str], label_type: Callable[[str], object],
             try:
                 if not colon:
                     raise ValueError
-                pairs[label_type(label)] = float(value)
+                parsed, number = label_type(label), float(value)
             except ValueError:
                 raise MalformedRecordError(
                     line_number, f"expected label:value, got {pair!r}") from None
+            if not math.isfinite(number):
+                raise MalformedRecordError(line_number, f"non-finite value in {pair!r}")
+            pairs[parsed] = number
         if len(pairs) < len(fields):
             raise MalformedRecordError(line_number, "a label repeats")
         yield line_number, key, pairs

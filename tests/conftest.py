@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from folkclass.folksonomy import Bookmark, ingest_bookmarks
-from folkclass.svm import LinearModel, OneVsOneModel
+from folkclass.svm import OneVsOneModel
 from folkclass.vectors import FeatureVector
 
 
@@ -130,10 +130,5 @@ def constant_one_vs_one(signed, n_features=1):
     `signed` gives the margin of pairs (0,1), (0,2), (1,2): positive means the
     second category of the pair wins its vote.
     """
-    categories = ("cat0", "cat1", "cat2")
-    pairs = ((0, 1), (0, 2), (1, 2))
-    models = tuple(
-        LinearModel(weights=np.zeros((2, n_features)), biases=np.array([-s, s]),
-                    categories=(categories[a], categories[b]))
-        for (a, b), s in zip(pairs, signed))
-    return OneVsOneModel(categories=categories, pairs=pairs, models=models)
+    return OneVsOneModel(categories=("cat0", "cat1", "cat2"), pairs=((0, 1), (0, 2), (1, 2)),
+                         weights=np.zeros((3, n_features)), biases=np.array(signed, dtype=float))

@@ -3,13 +3,20 @@
 These are the per-instance margin loop, the one-vs-one pair loop and the
 dense SGD step that `folkclass.svm` ran before its batched margin pass and
 sparse-column update, kept verbatim (as functions over a model instead of
-methods).  The margin and predict paths must reproduce them byte for byte;
-training must match the dense step within the tolerances its tests state.
+methods), and the per-pair one-vs-one trainer (one sparse SGD pass per pair,
+each pair a two-row model [-w, w]) that ran before its lockstep pass over
+the pair matrix.  The margin and predict paths and the one-vs-one model
+documents must reproduce them byte for byte; training must match the dense
+step within the tolerances its tests state.
 """
+
+import json
+from itertools import chain
 
 import numpy as np
 
-from folkclass.svm import LinearModel, OneVsOneModel, TrainConfig
+from folkclass.svm import (MODEL_FORMAT, LabeledDataset, LinearModel, OneVsOneModel,
+                           TrainConfig, _check_no_empty_category, _model_meta, _sparse_rows)
 from folkclass.vectors import FeatureVector
 
 
@@ -115,3 +122,78 @@ def dense_binary_hinge_grad(ydec: np.ndarray):
         yi = ydec[i]
         return -yi * (1.0 - yi * scores > 0.0).astype(float)
     return loss_grad
+
+
+# --- one-vs-one, one sparse SGD pass per pair ---
+
+def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
+         loss_grad, cfg: TrainConfig) -> np.ndarray:
+    n = len(rows)
+    scale = cfg.penalty * n             # 1 / lambda
+    V, U = np.zeros((2, outputs, dim))
+    rng = np.random.default_rng(cfg.seed)
+    total = cfg.epochs * n
+    tail_start = total - (total // 2)   # average the final half of the iterates
+    G = np.zeros(total + 1)
+    G[tail_start:] = np.cumsum(1.0 / np.arange(tail_start, total + 1))
+    order = chain.from_iterable(rng.permutation(n).tolist() for _ in range(cfg.epochs))
+    for t, i in enumerate(order, 1):
+        cols, vals = rows[i]
+        Vc = V.take(cols, axis=1)
+        coefs = loss_grad(i, Vc.dot(vals) / (t - 1 or 1))   # V_0 = 0
+        for r, g in coefs:
+            step = (scale * g) * vals
+            V[r][cols] = Vc[r] - step
+            if t > tail_start:
+                U[r][cols] += G[t - 1] * step
+    return (U + G[total] * V) / (total - tail_start + 1)
+
+
+def _binary_hinge_grad(ydec: np.ndarray):
+    """Score derivative of max(0, 1 - y_i*s) for one row, with y_i in {-1, +1}."""
+    ys = ydec.tolist()
+
+    def loss_grad(i: int, scores: np.ndarray) -> tuple[tuple[int, float], ...]:
+        yi = ys[i]
+        return ((0, -yi),) if 1.0 - yi * scores.item() > 0.0 else ()
+    return loss_grad
+
+
+def _linear_model(W: np.ndarray, categories, cfg: TrainConfig, scheme: str) -> LinearModel:
+    return LinearModel(weights=W[:, :-1], biases=W[:, -1],
+                       categories=tuple(categories), meta=_model_meta(cfg, scheme))
+
+
+def per_pair_sub_models(dataset: LabeledDataset, cfg: TrainConfig) -> list[LinearModel]:
+    """Every pair's model, trained by a pass of its own, w kept as rows [-w, w]."""
+    _check_no_empty_category(dataset)
+    rows, y = _sparse_rows(dataset)
+    pairs = [(a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k)]
+    models = []
+    for a, b in pairs:
+        mask = (y == a) | (y == b)
+        w = _sgd([rows[i] for i in np.flatnonzero(mask)], dataset.n_features + 1, 1,
+                 _binary_hinge_grad(np.where(y[mask] == b, 1.0, -1.0)), cfg)
+        pair = (dataset.categories[a], dataset.categories[b])
+        models.append(_linear_model(np.vstack([-w, w]), pair, cfg, "binary"))
+    return models
+
+
+def linear_to_doc(model: LinearModel) -> dict:
+    return {"categories": list(model.categories),
+            "weights": model.weights.tolist(),
+            "biases": model.biases.tolist(),
+            "meta": model.meta}
+
+
+def per_pair_document(dataset: LabeledDataset, cfg: TrainConfig) -> str:
+    """The one-vs-one model file the per-pair trainer wrote."""
+    k = dataset.k
+    return json.dumps({
+        "format": MODEL_FORMAT,
+        "kind": "one-vs-one",
+        "categories": list(dataset.categories),
+        "pairs": [[a, b] for a in range(k) for b in range(a + 1, k)],
+        "sub_models": [linear_to_doc(m) for m in per_pair_sub_models(dataset, cfg)],
+        "meta": _model_meta(cfg, "one-vs-one"),
+    })

@@ -362,6 +362,27 @@ class TestMalformedFiles:
         err = capsys.readouterr().err
         assert err == "folkclass: error: line 2: expected label:value, got '1:x'\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_vector_weight_names_line(self, tmp_path, capsys, value):
+        _, _, labels_path, _ = write_corpus(tmp_path)
+        vectors = tmp_path / "bad.tsv"
+        vectors.write_text(f"r000\t0:1.0\nr001\t0:1.0 1:{value}\n")
+        model = tmp_path / "m.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--model-out", model]) == 1
+        err = capsys.readouterr().err
+        assert err == f"folkclass: error: line 2: non-finite value in '1:{value}'\n"
+        assert not model.exists()
+
+    def test_non_finite_margin_names_line(self, tmp_path, capsys):
+        good = tmp_path / "a.margins"
+        good.write_text("i0\ta:1.0 b:0.0\ni1\ta:0.5 b:0.5\n")
+        bad = tmp_path / "b.margins"
+        bad.write_text("i0\ta:1.0 b:0.0\ni1\ta:inf b:0.0\n")
+        assert run(["committee", good, bad]) == 1
+        err = capsys.readouterr().err
+        assert err == "folkclass: error: line 2: non-finite value in 'a:inf'\n"
+
     def test_bad_margin_file_names_line(self, tmp_path, capsys):
         good = tmp_path / "a.margins"
         good.write_text("i0\ta:1.0 b:0.0\n")
@@ -376,7 +397,7 @@ _LINEAR = {"format": "folkclass-model/1", "kind": "linear",
            "biases": [0.0, 0.0]}
 _PAIRWISE = {"format": "folkclass-model/1", "kind": "one-vs-one",
              "categories": ["cat0", "cat1", "cat2"], "pairs": [[0, 1], [0, 2], [1, 2]],
-             "sub_models": [{"categories": [a, b], "weights": [[0.0], [1.0]],
+             "sub_models": [{"categories": [a, b], "weights": [[-1.0], [1.0]],
                              "biases": [0.0, 0.0]}
                             for a, b in (("cat0", "cat1"), ("cat0", "cat2"),
                                          ("cat1", "cat2"))]}
@@ -405,6 +426,38 @@ class TestModelDocumentShapes:
         err = capsys.readouterr().err
         assert err.startswith("folkclass: error: ") and err.count("\n") == 1
         assert f"'{field}'" in err and "Traceback" not in err
+
+
+class TestOneVsOneSubModelsChecked:
+    def test_sub_model_rows_not_negations_named(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        subs = [dict(m) for m in _PAIRWISE["sub_models"]]
+        subs[1] = {**subs[1], "weights": [[0.0], [1.0]]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**_PAIRWISE, "sub_models": subs}))
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path]) == 1
+        err = capsys.readouterr().err
+        assert err == ("folkclass: error: one-vs-one sub-model 1 (pair [0, 2]): "
+                       "row 0 is not the negation of row 1\n")
+
+    def test_sub_model_biases_not_negations_named(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        subs = [dict(m) for m in _PAIRWISE["sub_models"]]
+        subs[2] = {**subs[2], "biases": [0.5, 0.5]}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**_PAIRWISE, "sub_models": subs}))
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path]) == 1
+        assert "sub-model 2 (pair [1, 2])" in capsys.readouterr().err
+
+    def test_trained_model_round_trips_through_the_pair_matrix(self, tmp_path):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--scheme", "one-vs-one", "--epochs", 5, "--model-out", model]) == 0
+        text = model.read_text()
+        assert svm.model_to_json(svm.model_from_json(text)) == text
 
 
 class TestFeatureIdsChecked:

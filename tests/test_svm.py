@@ -449,8 +449,8 @@ class TestSerialization:
         categories = tuple(f"c{i}" for i in range(k))
         if one_vs_one:
             pairs = tuple((a, b) for a in range(k) for b in range(a + 1, k))
-            model = OneVsOneModel(categories, pairs, tuple(
-                linear((categories[a], categories[b])) for a, b in pairs))
+            rows = linear(tuple(f"{a}:{b}" for a, b in pairs))
+            model = OneVsOneModel(categories, pairs, rows.weights, rows.biases)
         else:
             model = linear(categories)
         back = model_from_json(model_to_json(model))
@@ -487,7 +487,7 @@ class TestModelDocumentValidation:
               "categories": ["a", "b"], "weights": [[0.0], [1.0]], "biases": [0.0, 0.0]}
     ONE_VS_ONE = {"format": "folkclass-model/1", "kind": "one-vs-one",
                   "categories": ["a", "b", "c"], "pairs": [[0, 1], [0, 2], [1, 2]],
-                  "sub_models": [{"categories": [x, y], "weights": [[0.0], [1.0]],
+                  "sub_models": [{"categories": [x, y], "weights": [[-1.0], [1.0]],
                                   "biases": [0.0, 0.0]}
                                  for x, y in (("a", "b"), ("a", "c"), ("b", "c"))]}
 

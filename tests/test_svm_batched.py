@@ -50,9 +50,8 @@ def one_vs_one_models(data, k: int, d: int) -> OneVsOneModel:
     pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(
         lambda p: p[0] != p[1])
     pairs = tuple(data.draw(st.just(every) | st.lists(pair, min_size=1, max_size=6)))
-    models = tuple(linear_models(data, 2, d, (categories[a], categories[b]))
-                   for a, b in pairs)
-    return OneVsOneModel(categories, pairs, models)
+    rows = linear_models(data, len(pairs), d, tuple(f"{a}:{b}" for a, b in pairs))
+    return OneVsOneModel(categories, pairs, rows.weights, rows.biases)
 
 
 def assert_batch_matches_loop(model, fvs) -> None:
@@ -102,10 +101,8 @@ class TestBatchMatchesLoop:
         k, pairs = 4, tuple((a, b) for a in range(4) for b in range(a + 1, 4))
         categories = tuple(f"c{i}" for i in range(k))
         for signed in product([-1.0, 0.0, 1.0], repeat=len(pairs)):
-            model = OneVsOneModel(categories, pairs, tuple(
-                LinearModel(np.zeros((2, 1)), np.array([-s, s]),
-                            (categories[a], categories[b]))
-                for (a, b), s in zip(pairs, signed)))
+            model = OneVsOneModel(categories, pairs, np.zeros((len(pairs), 1)),
+                                  np.array(signed))
             assert_batch_matches_loop(model, fvs)
 
     def test_many_chunks(self):
@@ -215,13 +212,14 @@ def dense_model(ds: LabeledDataset, cfg: TrainConfig):
                            for m in range(ds.k)))
         return linear(np.vstack(rows), ds.categories), sum(ties)
     pairs = tuple((a, b) for a in range(ds.k) for b in range(a + 1, ds.k))
-    models, all_ties = [], 0
+    rows, all_ties = [], 0
     for a, b in pairs:
         mask = (y == a) | (y == b)
         w, ties = binary_oracle(X[mask], np.where(y[mask] == b, 1.0, -1.0), cfg)
-        models.append(linear(np.vstack([-w, w]), (ds.categories[a], ds.categories[b])))
+        rows.append(w)
         all_ties += ties
-    return OneVsOneModel(tuple(ds.categories), pairs, tuple(models)), all_ties
+    W = np.vstack(rows)
+    return OneVsOneModel(tuple(ds.categories), pairs, W[:, :-1], W[:, -1]), all_ties
 
 
 def linear_parts(model) -> tuple[LinearModel, ...]:
