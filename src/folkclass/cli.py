@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,16 @@ def _read_lines(path: str) -> list[str]:
     return Path(path).read_text(encoding="utf-8").split("\n")
 
 
+@contextmanager
+def _reading(path: str):
+    """A malformed-input error raised inside names the file at `path` first,
+    as `{path}: {reason}`; an OSError already holds the path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ToolkitError(f"{path}: {exc}") from exc
+
+
 def _config(cls, args):
     """`cls` from the options the user set; an unset option keeps its default."""
     fields = {f.name for f in dataclasses.fields(cls)}
@@ -64,13 +75,15 @@ def _write_tsv(lines: Iterable[str], path: str | None) -> None:
 
 
 def _load_folksonomy(args) -> Folksonomy:
-    stream = parse_bookmark_lines(_read_lines(args.bookmarks))
+    blocked = DEFAULT_READING_STATE_TAGS
     if args.blocked_tags:     # main() has checked --strip-reading-state
-        blocked = load_stopwords(_read_lines(args.blocked_tags))
-        stream = strip_reading_state(stream, blocked)
-    elif args.strip_reading_state:
-        stream = strip_reading_state(stream)
-    return ingest_bookmarks(stream)
+        with _reading(args.blocked_tags):
+            blocked = load_stopwords(_read_lines(args.blocked_tags))
+    with _reading(args.bookmarks):
+        stream = parse_bookmark_lines(_read_lines(args.bookmarks))
+        if args.strip_reading_state:
+            stream = strip_reading_state(stream, blocked)
+        return ingest_bookmarks(stream)
 
 
 def _mean_novelty_by_rank(f: Folksonomy, allow_synthetic: bool) -> list[dict]:
@@ -120,7 +133,8 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
                      ) -> tuple[LabeledDataset, list[str]]:
     from .svm import LabeledDataset
 
-    label_of = label_map(parse_category_lines(_read_lines(labels_path)), level)
+    with _reading(labels_path):
+        label_of = label_map(parse_category_lines(_read_lines(labels_path)), level)
     used = sorted(r for r in vectors if r in label_of)
     if not used:
         raise ToolkitError("no overlap between vectors and labels")
@@ -138,7 +152,8 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
 def _cmd_train(args) -> int:
     from . import svm
 
-    vectors = read_vector_lines(_read_lines(args.vectors))
+    with _reading(args.vectors):
+        vectors = read_vector_lines(_read_lines(args.vectors))
     ds, _ = _labeled_dataset(vectors, args.labels, args.level)
     cfg = _config(svm.TrainConfig, args)
     report: dict = {"meta": {"kind": "train", "config": cfg.record(),
@@ -147,8 +162,9 @@ def _cmd_train(args) -> int:
     if args.self_train:
         unlabeled: list[FeatureVector] = []
         if args.unlabeled_vectors:
-            extra = read_vector_lines(_read_lines(args.unlabeled_vectors),
-                                      dim=ds.n_features)
+            with _reading(args.unlabeled_vectors):
+                extra = read_vector_lines(_read_lines(args.unlabeled_vectors),
+                                          dim=ds.n_features)
             unlabeled = [extra[k] for k in sorted(extra)]
         result = svm.self_train_2step(ds, unlabeled, cfg)
         model = result.model
@@ -164,8 +180,10 @@ def _cmd_eval(args) -> int:
     from . import svm
     from .committees import MarginTable, write_margin_lines
 
-    model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
-    vectors = read_vector_lines(_read_lines(args.vectors))
+    with _reading(args.model):
+        model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
+    with _reading(args.vectors):
+        vectors = read_vector_lines(_read_lines(args.vectors))
     ds, used = _labeled_dataset(vectors, args.labels, args.level, model.categories)
     try:
         accuracy, margins = svm._evaluate(model, ds)
@@ -187,7 +205,10 @@ def _cmd_committee(args) -> int:
 
     if len(args.margins) < 2:
         raise ToolkitError("committee needs at least 2 margin files")
-    tables = [read_margin_lines(_read_lines(p)) for p in args.margins]
+    tables = []
+    for path in args.margins:
+        with _reading(path):
+            tables.append(read_margin_lines(_read_lines(path)))
     summed, report = combine(tables, normalize=not args.no_normalize)
     predictions = [{"instance": inst, "category": category}
                    for inst, category in zip(summed.instances,
@@ -237,14 +258,13 @@ def _cmd_sweep(args) -> int:
     from .harness import (parse_flat_config, run_experiment, run_topk_sweep,
                           sweep_from_config)
 
-    try:
+    with _reading(args.config):
         spec, k_values = sweep_from_config(parse_flat_config(_read_lines(args.config)))
-    except ValueError as exc:
-        raise ToolkitError(f"{args.config}: {exc}") from exc
     if "seed" in args:
         spec = dataclasses.replace(spec, base_seed=args.seed)
     f = _load_folksonomy(args)
-    labels = list(parse_category_lines(_read_lines(args.labels)))
+    with _reading(args.labels):
+        labels = list(parse_category_lines(_read_lines(args.labels)))
     if k_values is None:
         report = run_experiment(spec, f, labels)
     else:

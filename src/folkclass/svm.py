@@ -11,23 +11,26 @@ feature, so it takes part in the regularizer.  Three multiclass schemes:
 * one-vs-one -- k(k-1)/2 pairwise hyperplanes, decision by majority vote,
                 ties by summed signed margins, then lowest category id
 
-Native and one-vs-all train their k rows in one SGD pass over a (k, d+1)
+Native and one-vs-all train their k rows in one `_sgd` pass over a (k, d+1)
 weight matrix, each scheme supplying only its hinge derivative with respect
-to the row scores.  One-vs-one trains its P = k(k-1)/2 pairs (train_binary's
-single pair included) as the rows of one (P, d+1) pair matrix, in one
-lockstep pass: at step t every pair takes its own t-th step, with the order,
-C and tail average it would have alone.  Both loops take their schedule from
-one helper.  Training reads instances only as sparse rows, and a step costs
-what the instance's non-zeros cost: the weights are kept in the Pegasos
-scaled form and the tail average lazily, so no step touches a column the
-instance does not hold.
+to the row scores.  One-vs-one trains its P = k(k-1)/2 pairs as the rows of
+one (P, d+1) pair matrix: a lockstep pass takes step t of every pair that has
+one, up to the second-longest pair's last step, and `_sgd` takes the longest
+pair's remaining steps (every step at k = 2, so binary training is `_sgd` on
+one pair).  Each pair keeps the order, C and tail average it would have
+alone: its caller draws every problem's plan from `_schedule` and hands it to
+the loops, and `_tail_average` finishes every trainer.  Training reads
+instances only as sparse rows, and a step costs what the instance's
+non-zeros cost: the weights are kept in the Pegasos scaled form and the tail
+average lazily, so no step touches a column the instance does not hold.
 
 Margins are plain float arrays of length k; prediction is argmax with
 lowest-id tie-break.  Both come from one batched pass over a batch of
 vectors (a single vector is a batch of one), which sums each row exactly
 as a loop over the vector's entries would: bias first, then every entry in
-entry order.  One-vs-one scores every pair in that same pass.  Training is
-deterministic under a fixed seed.
+entry order.  One-vs-one scores every pair in that same pass, then sums its
+signed margins per category in pair order and counts each category's wins.
+Training is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -139,22 +142,14 @@ class LabeledDataset:
         return X, y
 
 
-def _require_finite(weights: np.ndarray, biases: np.ndarray) -> None:
-    if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
-        raise ValueError("model has non-finite parameters")
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    """Per-category weight vectors and biases; margins are w_m.x + b_m."""
-
-    weights: np.ndarray            # (k, d)
-    biases: np.ndarray             # (k,)
-    categories: tuple[str, ...]
-    meta: dict = field(default_factory=dict)
+class Model:
+    """What both model kinds share.  A kind is a frozen dataclass with
+    `categories` and a (rows, d) `weights` matrix with its `biases`, and
+    supplies `margins_batch` and `_scores`."""
 
     def __post_init__(self):
-        _require_finite(self.weights, self.biases)
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
+            raise ValueError("model has non-finite parameters")
 
     @property
     def k(self) -> int:
@@ -164,6 +159,26 @@ class LinearModel:
     def n_features(self) -> int:
         """Width of the feature space; a vector with an id at or above it is an error."""
         return self.weights.shape[1]
+
+    def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Category id of every vector, by the kind's decision rule."""
+        return self._scores(fvs)[1]
+
+    def margins(self, fv: FeatureVector) -> np.ndarray:
+        return self.margins_batch([fv])[0]
+
+    def predict(self, fv: FeatureVector) -> int:
+        return int(self.predict_batch([fv])[0])
+
+
+@dataclass(frozen=True)
+class LinearModel(Model):
+    """Per-category weight vectors and biases; margins are w_m.x + b_m."""
+
+    weights: np.ndarray            # (k, d)
+    biases: np.ndarray             # (k,)
+    categories: tuple[str, ...]
+    meta: dict = field(default_factory=dict)
 
     def augmented(self) -> np.ndarray:
         """Weights with the bias as a trailing column, the trained parameterization."""
@@ -211,29 +226,22 @@ class LinearModel:
         terms = terms.reshape(len(entries), width, self.k)
         return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
-    def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        """Category id of every vector: argmax margin, lowest id on ties."""
-        return self._scores(fvs)[1]
-
     def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-        """`margins_batch` and `predict_batch` from one margin pass."""
+        """`margins_batch`, and the argmax margin of every vector (lowest id on
+        ties), from one margin pass."""
         margins = self.margins_batch(fvs)
         return margins, np.argmax(margins, axis=1)
 
-    def margins(self, fv: FeatureVector) -> np.ndarray:
-        return self.margins_batch([fv])[0]
-
-    def predict(self, fv: FeatureVector) -> int:
-        return int(self.predict_batch([fv])[0])
-
 
 @dataclass(frozen=True)
-class OneVsOneModel:
+class OneVsOneModel(Model):
     """Pairwise hyperplanes as one pair matrix; predicts the category with
     most pairwise wins.
 
     Row p of `weights` and `biases` is pair p = (a, b)'s hyperplane w, whose
-    margin w.x + b is positive where b wins the pair and negative where a does.
+    signed margin s = w.x + b is positive where b wins the pair and negative
+    where a does.  A category's margin is the sum of its pairs' signed
+    margins, added pair by pair in pair order as `sums[b] += s; sums[a] -= s`.
     """
 
     categories: tuple[str, ...]
@@ -241,17 +249,6 @@ class OneVsOneModel:
     weights: np.ndarray            # (P, d)
     biases: np.ndarray             # (P,)
     meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        _require_finite(self.weights, self.biases)
-
-    @property
-    def k(self) -> int:
-        return len(self.categories)
-
-    @property
-    def n_features(self) -> int:
-        return self.weights.shape[1]
 
     @cached_property
     def _pair_rows(self) -> LinearModel:
@@ -269,63 +266,31 @@ class OneVsOneModel:
                                  meta=meta)
                      for (a, b), w, bias in zip(self.pairs, self.weights, self.biases))
 
-    @cached_property
-    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per category, its pairs' signed-margin columns in pair order, and signs.
-
-        Both are (k, m).  A category gains a pair's signed margin where it is
-        the pair's second (sign +1) and loses it where it is the first (sign
-        -1).  Column P, one past the last pair, holds +0.0: every category's
-        sum starts from it, and a category in fewer pairs than another is
-        padded in front with more of it (+0.0 + +0.0 == +0.0).
-        """
-        P = len(self.pairs)
-        sides: list[list[tuple[int, float]]] = [[] for _ in range(self.k)]
-        for p, (a, b) in enumerate(self.pairs):
-            sides[b].append((p, 1.0))
-            sides[a].append((p, -1.0))
-        m = 1 + max(map(len, sides))
-        padded = [[(P, 1.0)] * (m - len(side)) + side for side in sides]
-        return (np.array([[p for p, _ in side] for side in padded], dtype=np.intp),
-                np.array([[sign for _, sign in side] for side in padded]))
-
-    def _per_side(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        """Every pair's signed margin (its row's w.x + b) in the `_sides`
-        layout, (n, k, m)."""
-        signed = self._pair_rows.margins_batch(fvs)
-        return np.hstack([signed, np.zeros((len(signed), 1))])[:, self._sides[0]]
-
-    def _category_sums(self, per_side: np.ndarray) -> np.ndarray:
-        """Per-category sums of the signed margins, added in pair order as
-        `sums[b] += s; sums[a] -= s` over the pairs would (x - s == x + -s)."""
-        return np.add.accumulate(per_side * self._sides[1], axis=2)[:, :, -1]
-
     def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        """Per-category summed signed margins over all pairwise models, (n, k)."""
-        return self._category_sums(self._per_side(fvs))
+        """Per-category summed signed margins over all pairs, (n, k)."""
+        return self._tally(self._pair_rows.margins_batch(fvs))
 
-    def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        """Most pairwise wins (b wins pair (a, b) if its signed margin is > 0,
-        else a); ties by summed signed margins, then lowest id."""
-        return self._scores(fvs)[1]
+    def _tally(self, signed: np.ndarray) -> np.ndarray:
+        """Per-category sums of (n, P) signed margins, pair by pair in pair order."""
+        sums = np.zeros((len(signed), self.k))
+        for (a, b), s in zip(self.pairs, signed.T):
+            sums[:, b] += s
+            sums[:, a] -= s
+        return sums
 
     def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-        """`margins_batch` and `predict_batch` from one per-side table."""
-        per_side = self._per_side(fvs)
-        votes = ((per_side > 0.0) == (self._sides[1] > 0.0)).sum(axis=2)
-        sums = self._category_sums(per_side)
+        """`margins_batch`, and every vector's most pairwise wins (b wins pair
+        (a, b) where its signed margin is > 0, else a), ties by summed signed
+        margins, then lowest id, from one pass over the pairs."""
+        signed = self._pair_rows.margins_batch(fvs)
+        sums = self._tally(signed)
+        n = len(signed)
+        first, second = np.array(self.pairs, dtype=np.intp).T
+        winners = np.where(signed > 0.0, second, first) + self.k * np.arange(n)[:, None]
+        votes = np.bincount(winners.ravel(), minlength=n * self.k).reshape(n, self.k)
         best = votes == votes.max(axis=1, keepdims=True)
         best &= sums == np.where(best, sums, -np.inf).max(axis=1, keepdims=True)
         return sums, np.argmax(best, axis=1)
-
-    def margins(self, fv: FeatureVector) -> np.ndarray:
-        return self.margins_batch([fv])[0]
-
-    def predict(self, fv: FeatureVector) -> int:
-        return int(self.predict_batch([fv])[0])
-
-
-Model = LinearModel | OneVsOneModel
 
 
 def _check_no_empty_category(dataset: LabeledDataset) -> None:
@@ -362,14 +327,18 @@ def _schedule(n: int, cfg: TrainConfig) -> tuple[np.ndarray, int, np.ndarray]:
     return order, tail, G
 
 
-def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
-         loss_grad, cfg: TrainConfig) -> np.ndarray:
-    """Tail-averaged stochastic subgradient descent over an (outputs, dim) matrix W.
+def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], plan: tuple[np.ndarray, int, np.ndarray],
+         loss_grad, cfg: TrainConfig, V: np.ndarray, U: np.ndarray, first: int = 0) -> None:
+    """Steps first+1..end of tail-averaged stochastic subgradient descent over
+    an (outputs, dim) matrix W, on V and U in place.
 
     Minimizes 0.5*||W||^2 + C * sum_i loss_i(W x_i), x_i holding `rows[i]`'s
-    values at its columns and zero elsewhere.  `loss_grad(i, scores)` returns
-    the non-zero entries of the derivative of instance i's loss with respect
-    to its scores W x_i, as (row, value) pairs.
+    values at its columns and zero elsewhere, in the steps of `plan`, the
+    `_schedule` of len(rows) instances.  `loss_grad(i, scores)` returns the
+    non-zero entries of the derivative of instance i's loss with respect to
+    its scores W x_i, as (row, value) pairs.  V and U hold the state after
+    step `first`: zeros to start, or what another loop left.  `_tail_average`
+    turns them into W.
 
     A step costs what x_i's non-zeros cost.  The shrink is exact in the
     scaled form W_t = V_t / t (Pegasos): V_t = V_{t-1} - (C*n)*g*x_i.  The
@@ -378,9 +347,8 @@ def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
     adds -G[t-1]*D to U.
     """
     scale = cfg.penalty * len(rows)     # 1 / lambda
-    V, U = np.zeros((2, outputs, dim))
-    order, tail, G = _schedule(len(rows), cfg)
-    for t, i in enumerate(order.tolist(), 1):
+    order, tail, G = plan
+    for t, i in enumerate(order[first:].tolist(), first + 1):
         cols, vals = rows[i]
         Vc = V.take(cols, axis=1)
         coefs = loss_grad(i, Vc.dot(vals) / (t - 1 or 1))   # V_0 = 0
@@ -389,7 +357,16 @@ def _sgd(rows: list[tuple[np.ndarray, np.ndarray]], dim: int, outputs: int,
             V[r][cols] = Vc[r] - step
             if t > tail:
                 U[r][cols] += G[t - 1] * step
-    return (U + G[-1] * V) / (len(order) - tail + 1)
+
+
+def _tail_average(V: np.ndarray, U: np.ndarray,
+                  plans: Sequence[tuple[np.ndarray, int, np.ndarray]]) -> np.ndarray:
+    """W from `_sgd`'s V and U, row r trained on plans[r]: (U + G[-1]*V) / (end -
+    tail + 1), computed in V."""
+    V *= np.array([G[-1] for _, _, G in plans])[:, None]
+    V += U
+    V /= np.array([len(order) - tail + 1 for order, tail, _ in plans])[:, None]
+    return V
 
 
 def _train_pairs(rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
@@ -398,13 +375,14 @@ def _train_pairs(rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
 
     Pair (a, b) minimizes 0.5*||w||^2 + C * sum_i max(0, 1 - y_i w.x_i) over
     the n_p instances of a and b, y_i = +1 for b, and takes exactly the steps
-    `_sgd` would take on them alone: its `_schedule(n_p)`, 1/lambda = C*n_p
-    and a step only where the hinge is violated.  Only the loop order across
-    pairs changes.  While two or more pairs have steps left, step t is one
+    `_sgd` takes on them alone: its `_schedule(n_p)`, 1/lambda = C*n_p and a
+    step only where the hinge is violated.  Only the loop order across pairs
+    changes.  Up to the last step of the second-longest pair, step t is one
     lockstep: every pair with a t-th step takes it, in one gather, score and
     update over the concatenated columns of those pairs' instances.  The
-    last pair left goes on alone.  The lockstep's entry arrays are built in
-    blocks of steps of at most about `_LOCKSTEP_ENTRIES` entries.
+    longest pair's steps after that (every step when k = 2) are `_sgd`'s,
+    resumed at the step the lockstep reached.  The lockstep's entry arrays
+    are built in blocks of steps of at most about `_LOCKSTEP_ENTRIES` entries.
 
     The lockstep sums a pair's score in another order than `_sgd`'s dot
     product, so the two sums can differ in their last bits.  Only the hinge
@@ -418,29 +396,15 @@ def _train_pairs(rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
     schedules = {n: _schedule(n, cfg) for n in {len(m) for m in members}}
     plans = [schedules[len(m)] for m in members]            # (order, tail, G) per pair
     totals = [len(order) for order, _, _ in plans]
-    scale = cfg.penalty * np.array([len(m) for m in members], dtype=float)
     V, U = np.zeros((2, P, dim))
     longest = max(range(P), key=totals.__getitem__)
     shared = max((n for p, n in enumerate(totals) if p != longest), default=0)
     if shared:
+        scale = cfg.penalty * np.array([len(m) for m in members], dtype=float)
         _lockstep(rows, members, signs, plans, scale, shared, V, U)
-
-    order, tail, G = plans[longest]
-    Vp, Up, p_scale = V[longest:longest + 1], U[longest], float(scale[longest])
-    alone = order[shared:]
-    for t, i, yi in zip(range(shared + 1, totals[longest] + 1),
-                        members[longest][alone].tolist(), signs[longest][alone].tolist()):
-        cols, vals = rows[i]
-        Vc = Vp.take(cols, axis=1)
-        if 1.0 - yi * (Vc.dot(vals) / (t - 1 or 1)).item() > 0.0:
-            step = (p_scale * -yi) * vals
-            Vp[0, cols] = Vc[0] - step
-            if t > tail:
-                Up[cols] += G[t - 1] * step
-    V *= np.array([G[-1] for _, _, G in plans])[:, None]     # (U + G[-1]*V) / count,
-    V += U                                                     # in place
-    V /= np.array([len(order) - tail + 1 for order, tail, _ in plans])[:, None]
-    return V
+    _sgd([rows[i] for i in members[longest]], plans[longest], _pair_hinge_grad(signs[longest]),
+         cfg, V[longest:longest + 1], U[longest:longest + 1], first=shared)
+    return _tail_average(V, U, plans)
 
 
 def _lockstep(rows: list[tuple[np.ndarray, np.ndarray]], members: list[np.ndarray],
@@ -556,23 +520,37 @@ def _one_vs_all_hinge_grad(y: np.ndarray, k: int):
     return loss_grad
 
 
+def _pair_hinge_grad(signs: np.ndarray):
+    """Score derivative of max(0, 1 - y_i*s) on one row, y_i = signs[i] in {-1, +1}."""
+    ys = signs.tolist()
+
+    def loss_grad(i: int, scores: np.ndarray) -> tuple[tuple[int, float], ...]:
+        yi = ys[i]
+        return ((0, -yi),) if 1.0 - yi * scores.item() > 0.0 else ()
+    return loss_grad
+
+
 def _model_meta(cfg: TrainConfig, scheme: str) -> dict:
     return {"scheme": scheme, "penalty": cfg.penalty, "epochs": cfg.epochs,
             "seed": cfg.seed, "hinge_exponent": _HINGE_EXPONENT}
 
 
-def _linear_model(W: np.ndarray, categories: Sequence[str], cfg: TrainConfig,
-                  scheme: str) -> LinearModel:
+def _train_linear(dataset: LabeledDataset, cfg: TrainConfig, scheme: str,
+                  hinge_grad) -> LinearModel:
+    """One `_sgd` pass over all instances into k rows, the loss `hinge_grad(y)`'s."""
+    _check_no_empty_category(dataset)
+    rows, y = _sparse_rows(dataset)
+    plan = _schedule(len(rows), cfg)
+    V, U = np.zeros((2, dataset.k, dataset.n_features + 1))
+    _sgd(rows, plan, hinge_grad(y), cfg, V, U)
+    W = _tail_average(V, U, [plan] * dataset.k)
     return LinearModel(weights=W[:, :-1], biases=W[:, -1],
-                       categories=tuple(categories), meta=_model_meta(cfg, scheme))
+                       categories=tuple(dataset.categories), meta=_model_meta(cfg, scheme))
 
 
 def train_native(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Joint multiclass training over all k categories at once."""
-    _check_no_empty_category(dataset)
-    rows, y = _sparse_rows(dataset)
-    W = _sgd(rows, dataset.n_features + 1, dataset.k, _native_hinge_grad(y), cfg)
-    return _linear_model(W, dataset.categories, cfg, "native")
+    return _train_linear(dataset, cfg, "native", _native_hinge_grad)
 
 
 def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
@@ -585,10 +563,8 @@ def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
 def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """k binary problems (category m against the rest) trained in one k-row pass,
     since they share instances, C and the seeded order; decision by argmax margin."""
-    _check_no_empty_category(dataset)
-    rows, y = _sparse_rows(dataset)
-    W = _sgd(rows, dataset.n_features + 1, dataset.k, _one_vs_all_hinge_grad(y, dataset.k), cfg)
-    return _linear_model(W, dataset.categories, cfg, "one-vs-all")
+    return _train_linear(dataset, cfg, "one-vs-all",
+                         lambda y: _one_vs_all_hinge_grad(y, dataset.k))
 
 
 def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel:
@@ -775,11 +751,16 @@ def _one_vs_one_from_doc(doc: dict) -> OneVsOneModel:
     pairs, sub_docs = doc["pairs"], doc["sub_models"]
     if not (isinstance(pairs, list) and pairs):
         raise ValueError("one-vs-one model 'pairs' is not a list of one or more pairs")
-    for pair in pairs:
+    seen: dict[frozenset[int], int] = {}
+    for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
                 and all(type(c) is int and 0 <= c < len(categories) for c in pair)):
             raise ValueError(f"one-vs-one model 'pairs' entry {pair!r} is not two "
                              f"distinct ids in 0..{len(categories) - 1}")
+        first = seen.setdefault(frozenset(pair), i)
+        if first != i:   # a repeated pair would vote twice
+            raise ValueError(f"one-vs-one model 'pairs' entry {i} {pair!r} repeats "
+                             f"entry {first} {pairs[first]!r}")
     if not (isinstance(sub_docs, list) and len(sub_docs) == len(pairs)):
         raise ValueError(f"one-vs-one model 'sub_models' is not a list of "
                          f"{len(pairs)} models, one per pair")

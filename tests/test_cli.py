@@ -360,7 +360,7 @@ class TestMalformedFiles:
         assert run(["train", "--vectors", vectors, "--labels", labels_path,
                     "--model-out", tmp_path / "m.json"]) == 1
         err = capsys.readouterr().err
-        assert err == "folkclass: error: line 2: expected label:value, got '1:x'\n"
+        assert err == f"folkclass: error: {vectors}: line 2: expected label:value, got '1:x'\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_vector_weight_names_line(self, tmp_path, capsys, value):
@@ -371,7 +371,7 @@ class TestMalformedFiles:
         assert run(["train", "--vectors", vectors, "--labels", labels_path,
                     "--model-out", model]) == 1
         err = capsys.readouterr().err
-        assert err == f"folkclass: error: line 2: non-finite value in '1:{value}'\n"
+        assert err == f"folkclass: error: {vectors}: line 2: non-finite value in '1:{value}'\n"
         assert not model.exists()
 
     def test_non_finite_margin_names_line(self, tmp_path, capsys):
@@ -381,7 +381,41 @@ class TestMalformedFiles:
         bad.write_text("i0\ta:1.0 b:0.0\ni1\ta:inf b:0.0\n")
         assert run(["committee", good, bad]) == 1
         err = capsys.readouterr().err
-        assert err == "folkclass: error: line 2: non-finite value in 'a:inf'\n"
+        assert err == f"folkclass: error: {bad}: line 2: non-finite value in 'a:inf'\n"
+
+    @pytest.mark.parametrize("kind,text,reason", [
+        ("bookmarks", '{"user": "u1"}\n', "line 1: missing field 'resource'"),
+        ("labels", "r000\n", "line 1: expected resource<TAB>top[<TAB>second]"),
+        ("vectors", "r000\tB:x\n", "line 1: expected label:value, got 'B:x'"),
+        ("margins", "r000\tB:x\n", "line 1: expected label:value, got 'B:x'"),
+        ("model", "{", "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+        ("blocked-tags", "\xff", "'utf-8' codec can't decode byte 0xff in position 0: "
+                                  "invalid start byte")],
+        ids=["bookmarks", "labels", "vectors", "margins", "model", "blocked-tags"])
+    def test_malformed_file_named(self, tmp_path, capsys, kind, text, reason):
+        """Which of two files of one kind is malformed shows in the message."""
+        bookmarks, _, labels_path, vectors = write_corpus(tmp_path)
+        model, margins = tmp_path / "m.json", tmp_path / "a.margins"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--model-out", model]) == 0
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path, "--margins-out", margins]) == 0
+        bad = tmp_path / "bad"
+        bad.write_bytes(text.encode("latin-1"))
+        argv = {"bookmarks": ["ingest", "--bookmarks", bad],
+                "labels": ["train", "--vectors", vectors, "--labels", bad,
+                           "--model-out", tmp_path / "m2.json"],
+                "vectors": ["eval", "--model", model, "--vectors", bad,
+                            "--labels", labels_path],
+                "margins": ["committee", margins, bad],
+                "model": ["eval", "--model", bad, "--vectors", vectors,
+                          "--labels", labels_path],
+                "blocked-tags": ["ingest", "--bookmarks", bookmarks,
+                                 "--strip-reading-state", "--blocked-tags", bad]}[kind]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"folkclass: error: {bad}: {reason}\n"
 
     def test_bad_margin_file_names_line(self, tmp_path, capsys):
         good = tmp_path / "a.margins"
@@ -438,7 +472,7 @@ class TestOneVsOneSubModelsChecked:
         assert run(["eval", "--model", model, "--vectors", vectors,
                     "--labels", labels_path]) == 1
         err = capsys.readouterr().err
-        assert err == ("folkclass: error: one-vs-one sub-model 1 (pair [0, 2]): "
+        assert err == (f"folkclass: error: {model}: one-vs-one sub-model 1 (pair [0, 2]): "
                        "row 0 is not the negation of row 1\n")
 
     def test_sub_model_biases_not_negations_named(self, tmp_path, capsys):
@@ -468,7 +502,7 @@ class TestFeatureIdsChecked:
         assert run(["train", "--vectors", vectors, "--labels", labels_path,
                     "--model-out", tmp_path / "m.json"]) == 1
         err = capsys.readouterr().err
-        assert err == "folkclass: error: line 2: negative feature id -3\n"
+        assert err == f"folkclass: error: {vectors}: line 2: negative feature id -3\n"
 
     def test_unlabeled_id_outside_training_vocabulary_names_line(self, tmp_path, capsys):
         _, _, labels_path, vectors = write_corpus(tmp_path)
@@ -479,8 +513,8 @@ class TestFeatureIdsChecked:
                     "--self-train", "--unlabeled-vectors", unlabeled,
                     "--model-out", model]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("folkclass: error: line 3: feature id 99999 outside "
-                              "dimensionality ") and err.count("\n") == 1
+        assert err.startswith(f"folkclass: error: {unlabeled}: line 3: feature id 99999 "
+                              "outside dimensionality ") and err.count("\n") == 1
         assert not model.exists()
 
     @pytest.mark.parametrize("scheme", ["native", "one-vs-one"])

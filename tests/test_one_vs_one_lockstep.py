@@ -8,6 +8,7 @@ from unittest.mock import patch
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from folkclass import svm
@@ -52,9 +53,14 @@ def test_lockstep_documents_equal_the_per_pair_trainer(ds, cfg, one_step_blocks)
             == [json.dumps(linear_to_doc(m)) for m in per_pair_sub_models(ds, cfg)])
 
 
-def test_unbalanced_tag_counts_at_one_over_n():
+@pytest.mark.parametrize("keep", [range(8), (1, 3), (1, 5, 0)],
+                         ids=["k8", "k2", "k3-unbalanced"])
+def test_unbalanced_tag_counts_at_one_over_n(keep):
     """Integer counts with C = 1/30 put scores on the hinge up to rounding; 8
-    categories of 2-20 instances run 28 pairs over blocks of many steps."""
+    categories of 2-20 instances run 28 pairs over blocks of many steps.  The
+    cuts keep some categories: at k = 2 the one pair takes every step in
+    `_sgd`, and at k = 3 the longest pair (37 instances, the next 22) takes
+    60 of its 148 steps there, resumed where the lockstep stopped."""
     rng = np.random.default_rng(5)
     counts = [2, 20, 5, 11, 3, 17, 8, 13]
     labels = rng.permutation([c for c, n in enumerate(counts) for _ in range(n)]).tolist()
@@ -62,7 +68,9 @@ def test_unbalanced_tag_counts_at_one_over_n():
     instances = [(FeatureVector({int(f): float(rng.integers(1, 4))
                                  for f in rng.choice(d, int(rng.integers(1, 6)), replace=False)},
                                 d), cid) for cid in labels]
-    ds = LabeledDataset(instances, [f"c{m}" for m in range(8)], d)
+    keep = list(keep)
+    ds = LabeledDataset([(fv, keep.index(cid)) for fv, cid in instances if cid in keep],
+                        [f"c{m}" for m in keep], d)
     for seed in range(3):
         cfg = TrainConfig(penalty=1 / 30, epochs=4, seed=seed, scheme="one-vs-one")
         assert model_to_json(train_one_vs_one(ds, cfg)) == per_pair_document(ds, cfg)

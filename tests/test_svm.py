@@ -1,4 +1,5 @@
 import json
+import re
 
 import hypothesis.extra.numpy as npst
 import hypothesis.strategies as st
@@ -550,6 +551,18 @@ class TestModelDocumentValidation:
     def test_bad_pair_entry_named(self, pairs):
         with pytest.raises(ValueError, match="'pairs' entry .* is not two distinct ids"):
             model_from_json(json.dumps({**self.ONE_VS_ONE, "pairs": pairs}))
+
+    @pytest.mark.parametrize("pairs,culprit", [
+        ([[0, 1], [0, 1], [1, 0]], "entry 1 [0, 1] repeats entry 0 [0, 1]"),
+        ([[0, 1], [0, 2], [2, 0]], "entry 2 [2, 0] repeats entry 1 [0, 2]")],
+        ids=["same-order", "swapped"])
+    def test_repeated_pair_entry_named(self, pairs, culprit):
+        names = self.ONE_VS_ONE["categories"]
+        subs = [{"categories": [names[a], names[b]], "weights": [[-1.0], [1.0]],
+                 "biases": [0.0, 0.0]} for a, b in pairs]
+        with pytest.raises(ValueError, match=re.escape(f"'pairs' {culprit}")):
+            model_from_json(json.dumps({**self.ONE_VS_ONE, "pairs": pairs,
+                                        "sub_models": subs}))
 
     def test_pairs_not_a_list(self):
         with pytest.raises(ValueError, match="'pairs' is not a list"):
