@@ -12,7 +12,7 @@ Usage:
 
 import argparse
 
-from folkclass.folksonomy import novelty_ratios
+from folkclass.folksonomy import corpus_statistics, novelty_ratios
 from folkclass.generator import REGIMES, RegimeConfig, generate
 
 
@@ -20,17 +20,6 @@ def mean_novelty(f):
     values = [ratio for r in f.resource_bookmarks
               for rank, ratio in novelty_ratios(f, r) if rank > 1]
     return sum(values) / len(values) if values else float("nan")
-
-
-def mean_user_vocabulary(f):
-    sizes = [len({t for b in marks for t in b.tags})
-             for marks in f.user_bookmarks.values()]
-    return sum(sizes) / len(sizes)
-
-
-def mean_resource_vocabulary(f):
-    sizes = [len(w) for w in f.resource_tag_weights.values()]
-    return sum(sizes) / len(sizes)
 
 
 def main():
@@ -52,8 +41,9 @@ def main():
                 bookmarks_per_user=(8, 12), tags_per_bookmark=(2, 5),
                 pool_size=args.pool, acceptance=args.acceptance, seed=seed))
             novelty.append(mean_novelty(f))
-            user_vocab.append(mean_user_vocabulary(f))
-            resource_vocab.append(mean_resource_vocabulary(f))
+            means = corpus_statistics(f)["mean_distinct_tags"]
+            user_vocab.append(means["per_user"])
+            resource_vocab.append(means["per_resource"])
         n = args.seeds
         print(f"{regime:18s} {sum(novelty)/n:9.4f} {sum(user_vocab)/n:10.2f} "
               f"{sum(resource_vocab)/n:14.2f}")

@@ -11,6 +11,8 @@ rarely reused):
 
 All measures read only the user's own bookmarks, so a profile computed on
 an isolated personomy equals the one computed inside the full corpus.
+`user_profile` computes the three measures and the counts behind them in
+one walk over those bookmarks; `tpp`, `trr` and `orphan` read its fields.
 Low values sit at the Categorizer end; that direction is recorded in every
 report because it is a convention, not a fact.
 """
@@ -18,6 +20,7 @@ report because it is a convention, not a fact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -63,24 +66,14 @@ class UserSplit:
     describer_fraction: float
 
 
-def _annotated_bookmarks(f: Folksonomy, user: str):
-    marks = f.user_bookmarks.get(user)
-    if not marks:
-        raise DegenerateInputError(f"user {user!r} has no annotated bookmarks")
-    return marks
-
-
 def tpp(f: Folksonomy, user: str) -> float:
     """Tag assignments per annotated resource (verbosity); always >= 1."""
-    marks = _annotated_bookmarks(f, user)
-    return sum(len(b.tags) for b in marks) / len(marks)
+    return user_profile(f, user).tpp
 
 
 def trr(f: Folksonomy, user: str) -> float:
     """Distinct tags over annotated resources (vocabulary size vs activity)."""
-    marks = _annotated_bookmarks(f, user)
-    vocab = {t for b in marks for t in b.tags}
-    return len(vocab) / len(marks)
+    return user_profile(f, user).trr
 
 
 def orphan(f: Folksonomy, user: str) -> float:
@@ -90,28 +83,26 @@ def orphan(f: Folksonomy, user: str) -> float:
     n = ceil(|R(t_max)| / 100) of the user's resources, t_max being the
     user's most frequent tag.
     """
-    marks = _annotated_bookmarks(f, user)
-    resources_per_tag: dict[str, int] = {}
-    for b in marks:
-        for t in b.tags:
-            resources_per_tag[t] = resources_per_tag.get(t, 0) + 1
-    max_count = max(resources_per_tag.values())
-    n = math.ceil(max_count / 100)
-    orphans = sum(1 for c in resources_per_tag.values() if c <= n)
-    return orphans / len(resources_per_tag)
+    return user_profile(f, user).orphan
 
 
 def user_profile(f: Folksonomy, user: str) -> UserProfile:
-    marks = _annotated_bookmarks(f, user)
-    vocab = {t for b in marks for t in b.tags}
+    """Every measure and count of `user`, from one walk over their bookmarks."""
+    marks = f.user_bookmarks.get(user)
+    if not marks:
+        raise DegenerateInputError(f"user {user!r} has no annotated bookmarks")
+    resources_per_tag = Counter(t for b in marks for t in b.tags)
+    n_assignments = resources_per_tag.total()
+    n = math.ceil(max(resources_per_tag.values()) / 100)
+    orphans = sum(1 for c in resources_per_tag.values() if c <= n)
     return UserProfile(
         user=user,
-        tpp=tpp(f, user),
-        trr=trr(f, user),
-        orphan=orphan(f, user),
+        tpp=n_assignments / len(marks),
+        trr=len(resources_per_tag) / len(marks),
+        orphan=orphans / len(resources_per_tag),
         n_resources=len(marks),
-        n_distinct_tags=len(vocab),
-        n_assignments=sum(len(b.tags) for b in marks),
+        n_distinct_tags=len(resources_per_tag),
+        n_assignments=n_assignments,
     )
 
 

@@ -128,16 +128,19 @@ def _cmd_vectors(args) -> int:   # represent and weight
     return 0
 
 
-def _labeled_dataset(vectors: dict[str, FeatureVector], labels_path: str,
-                     level: str, categories: Sequence[str] = (),
+def _labeled_dataset(vectors: dict[str, FeatureVector], args,
+                     categories: Sequence[str] = (),
                      ) -> tuple[LabeledDataset, list[str]]:
+    """The dataset of the `vectors` (read from `args.vectors`) that
+    `args.labels` labels at `args.level`, and their resource ids in order."""
     from .svm import LabeledDataset
 
-    with _reading(labels_path):
-        label_of = label_map(parse_category_lines(_read_lines(labels_path)), level)
+    with _reading(args.labels):
+        label_of = label_map(parse_category_lines(_read_lines(args.labels)), args.level)
     used = sorted(r for r in vectors if r in label_of)
     if not used:
-        raise ToolkitError("no overlap between vectors and labels")
+        raise ToolkitError(f"no overlap between vectors {args.vectors} "
+                           f"and labels {args.labels}")
     categories = list(categories or sorted({label_of[r] for r in used}))
     cat_id = {c: i for i, c in enumerate(categories)}
     for r in used:
@@ -154,7 +157,7 @@ def _cmd_train(args) -> int:
 
     with _reading(args.vectors):
         vectors = read_vector_lines(_read_lines(args.vectors))
-    ds, _ = _labeled_dataset(vectors, args.labels, args.level)
+    ds, _ = _labeled_dataset(vectors, args)
     cfg = _config(svm.TrainConfig, args)
     report: dict = {"meta": {"kind": "train", "config": cfg.record(),
                              "n_instances": len(ds),
@@ -184,7 +187,7 @@ def _cmd_eval(args) -> int:
         model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
     with _reading(args.vectors):
         vectors = read_vector_lines(_read_lines(args.vectors))
-    ds, used = _labeled_dataset(vectors, args.labels, args.level, model.categories)
+    ds, used = _labeled_dataset(vectors, args, model.categories)
     try:
         accuracy, margins = svm._evaluate(model, ds)
     except svm._FeatureOutOfWidth as err:   # svm finds it; name the file and the resource
@@ -201,7 +204,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_committee(args) -> int:
-    from .committees import combine, predict_committee_batch, read_margin_lines
+    from .committees import (_MemberMismatch, combine, predict_committee_batch,
+                             read_margin_lines)
 
     if len(args.margins) < 2:
         raise ToolkitError("committee needs at least 2 margin files")
@@ -209,7 +213,10 @@ def _cmd_committee(args) -> int:
     for path in args.margins:
         with _reading(path):
             tables.append(read_margin_lines(_read_lines(path)))
-    summed, report = combine(tables, normalize=not args.no_normalize)
+    try:
+        summed, report = combine(tables, normalize=not args.no_normalize)
+    except _MemberMismatch as err:   # combine finds it; name both files
+        raise ToolkitError(err.naming(args.margins)) from None
     predictions = [{"instance": inst, "category": category}
                    for inst, category in zip(summed.instances,
                                              predict_committee_batch(summed))]

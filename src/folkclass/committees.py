@@ -62,11 +62,25 @@ def normalize_margins(table: MarginTable) -> tuple[MarginTable, dict]:
                        table.scores / divisor), report
 
 
+class _MemberMismatch(ValueError):
+    """Committee member `member` covers other categories or instances than
+    member 0.  `naming(names)` words it with member i called names[i], so
+    that a caller that knows the members' files can name both."""
+
+    def __init__(self, member: int, what: str, theirs: str = "those"):
+        self.member, self.what, self.theirs = member, what, theirs
+        super().__init__(self.naming([f"classifier {i}" for i in range(member + 1)]))
+
+    def naming(self, names: Sequence[str]) -> str:
+        return f"{names[self.member]}: {self.what} differ from {self.theirs} in {names[0]}"
+
+
 def combine(inputs: Sequence[MarginTable], normalize: bool = True,
             ) -> tuple[MarginTable, dict]:
     """Sum member margins per (instance, category), optionally normalized first.
 
-    All members must cover the same instances and categories; instance rows
+    All members must cover the same instances and categories, or
+    _MemberMismatch names the first member that does not; instance rows
     are aligned by id to the first member's order.
     """
     if not inputs:
@@ -76,11 +90,10 @@ def combine(inputs: Sequence[MarginTable], normalize: bool = True,
     total = np.zeros_like(first.scores, dtype=float)
     for idx, table in enumerate(inputs):
         if table.categories != first.categories:
-            raise ValueError(
-                f"classifier {idx} categories {table.categories} do not match "
-                f"{first.categories}")
+            raise _MemberMismatch(idx, f"categories {table.categories}",
+                                  str(first.categories))
         if set(table.instances) != set(first.instances):
-            raise ValueError(f"classifier {idx} covers a different instance set")
+            raise _MemberMismatch(idx, "instance ids")
         member_report = {}
         if normalize:
             table, member_report = normalize_margins(table)

@@ -1,11 +1,11 @@
 """Bookmark ingestion, indexing and corpus statistics.
 
 A bookmark is one user's annotation of one resource with an ordered tag
-list.  A folksonomy is the immutable index built over a bookmark stream:
-per-resource tag weights (number of annotating users per tag), per-tag
-frequencies over the three dimensions (resources, users, bookmarks), and
-annotated-only totals.  Tags are opaque byte strings: no case folding, no
-stemming, no merging.
+list.  A folksonomy is the immutable index built over a bookmark stream
+in one pass: per-resource tag weights (number of annotating users per
+tag), per-tag frequencies over the three dimensions (resources, users,
+bookmarks), and the ingest report, which owns the annotated-only totals.
+Tags are opaque byte strings: no case folding, no stemming, no merging.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MalformedRecordError, SyntheticOrderError, UnknownResourceError
 
@@ -84,22 +85,39 @@ class IngestReport:
 class Folksonomy:
     """Immutable bookmark index.  Build with ingest_bookmarks; share freely.
 
-    All totals and frequencies count annotated entities only: a bookmark
-    with no tags is retained in `bookmarks` but contributes nothing to the
-    statistics.
+    Stores the kept bookmarks, the index over them (tag weights and
+    frequencies, resource ids, annotated bookmarks by user and by resource)
+    and the ingest report.  Each count has one owner: `n_resources`,
+    `n_users` and `n_bookmarks` read the report, and `resource_annotators`
+    counts `resource_bookmarks`.  All totals and frequencies count
+    annotated entities only: a bookmark with no tags is retained in
+    `bookmarks` but contributes nothing to the statistics.
     """
 
     bookmarks: tuple[Bookmark, ...]
     resource_tag_weights: dict[str, dict[str, int]]   # resource -> tag -> w_t
-    resource_annotators: dict[str, int]               # resource -> p (annotated bookmarks)
     tag_frequencies: dict[str, TagFrequencies]
-    n_resources: int   # |R|, annotated
-    n_users: int       # |U|, annotated
-    n_bookmarks: int   # |B|, annotated
     report: IngestReport
-    all_resource_ids: frozenset[str] = frozenset()
-    user_bookmarks: dict[str, tuple[Bookmark, ...]] = field(repr=False, default_factory=dict)
-    resource_bookmarks: dict[str, tuple[Bookmark, ...]] = field(repr=False, default_factory=dict)
+    all_resource_ids: frozenset[str]
+    user_bookmarks: dict[str, tuple[Bookmark, ...]] = field(repr=False)
+    resource_bookmarks: dict[str, tuple[Bookmark, ...]] = field(repr=False)
+
+    @property
+    def n_resources(self) -> int:   # |R|, annotated
+        return self.report.annotated_resources
+
+    @property
+    def n_users(self) -> int:   # |U|, annotated
+        return self.report.annotated_users
+
+    @property
+    def n_bookmarks(self) -> int:   # |B|, annotated
+        return self.report.annotated_bookmarks
+
+    @cached_property
+    def resource_annotators(self) -> dict[str, int]:
+        """Resource -> p, its number of annotated bookmarks."""
+        return {r: len(bs) for r, bs in self.resource_bookmarks.items()}
 
     def tags_of(self, resource: str) -> dict[str, int]:
         try:
@@ -190,81 +208,67 @@ def strip_reading_state(stream: Iterable[Bookmark],
 
 
 def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
-    """Index a bookmark stream into an immutable Folksonomy.
+    """Index a bookmark stream into an immutable Folksonomy, in one pass.
 
     Duplicate (user, resource) pairs keep the first bookmark seen; duplicate
     tags within one bookmark collapse to a single occurrence (w_t counts
     annotating users, not repetitions).  Bookmarks without an explicit order
     get one assigned by stream position within their resource and are
-    flagged as synthetically ordered.
+    flagged as synthetically ordered.  A kept bookmark is final, so it is
+    indexed as soon as it is kept.
     """
-    seen_pairs: set[tuple[str, str]] = set()
     kept: list[Bookmark] = []
-    arrival_counter: dict[str, int] = {}
+    users_of: dict[str, set[str]] = {}   # resource -> users of its kept bookmarks
+    resource_tag_weights: dict[str, dict[str, int]] = {}
+    user_bookmarks: dict[str, list[Bookmark]] = {}
+    resource_bookmarks: dict[str, list[Bookmark]] = {}
+    tag_rf: dict[str, int] = {}
+    tag_uf: dict[str, set[str]] = {}
+    tag_bf: dict[str, int] = {}
     duplicate_pairs = 0
     duplicate_tags = 0
 
     for b in stream:
-        key = (b.user, b.resource)
-        if key in seen_pairs:
+        users = users_of.setdefault(b.resource, set())
+        if b.user in users:
             duplicate_pairs += 1
             continue
-        seen_pairs.add(key)
-        deduped = tuple(dict.fromkeys(b.tags))
-        duplicate_tags += len(b.tags) - len(deduped)
+        arrival = len(users)
+        users.add(b.user)
+        tags = tuple(dict.fromkeys(b.tags))
+        duplicate_tags += len(b.tags) - len(tags)
         if b.order is None:
-            order = arrival_counter.get(b.resource, 0)
-            synthetic = True
+            b = Bookmark(b.user, b.resource, tags, arrival, True)
         else:
-            order, synthetic = b.order, b.synthetic_order
-        arrival_counter[b.resource] = arrival_counter.get(b.resource, 0) + 1
-        kept.append(Bookmark(b.user, b.resource, deduped, order, synthetic))
+            b = Bookmark(b.user, b.resource, tags, b.order, b.synthetic_order)
+        kept.append(b)
+        if not tags:
+            continue
+        user_bookmarks.setdefault(b.user, []).append(b)
+        resource_bookmarks.setdefault(b.resource, []).append(b)
+        weights = resource_tag_weights.setdefault(b.resource, {})
+        for tag in tags:
+            w = weights.get(tag, 0)
+            weights[tag] = w + 1
+            if w == 0:     # the tag's first bookmark in this resource
+                tag_rf[tag] = tag_rf.get(tag, 0) + 1
+            tag_uf.setdefault(tag, set()).add(b.user)
+            tag_bf[tag] = tag_bf.get(tag, 0) + 1
 
     if duplicate_pairs:
         logger.warning("dropped %d duplicate (user, resource) bookmarks", duplicate_pairs)
 
-    resource_tag_weights: dict[str, dict[str, int]] = {}
-    resource_annotators: dict[str, int] = {}
-    tag_rf: dict[str, set[str]] = {}
-    tag_uf: dict[str, set[str]] = {}
-    tag_bf: dict[str, int] = {}
-    user_bookmarks: dict[str, list[Bookmark]] = {}
-    resource_bookmarks: dict[str, list[Bookmark]] = {}
-    annotated_users: set[str] = set()
-    annotated_resources: set[str] = set()
-    all_users: set[str] = set()
-    all_resources: set[str] = set()
-    n_annotated_bookmarks = 0
-
-    for b in kept:
-        all_users.add(b.user)
-        all_resources.add(b.resource)
-        if not b.annotated:
-            continue
-        n_annotated_bookmarks += 1
-        annotated_users.add(b.user)
-        annotated_resources.add(b.resource)
-        user_bookmarks.setdefault(b.user, []).append(b)
-        resource_bookmarks.setdefault(b.resource, []).append(b)
-        weights = resource_tag_weights.setdefault(b.resource, {})
-        resource_annotators[b.resource] = resource_annotators.get(b.resource, 0) + 1
-        for tag in b.tags:
-            weights[tag] = weights.get(tag, 0) + 1
-            tag_rf.setdefault(tag, set()).add(b.resource)
-            tag_uf.setdefault(tag, set()).add(b.user)
-            tag_bf[tag] = tag_bf.get(tag, 0) + 1
-
     frequencies = {
-        tag: TagFrequencies(rf=len(tag_rf[tag]), uf=len(tag_uf[tag]), bf=tag_bf[tag])
-        for tag in tag_bf
+        tag: TagFrequencies(rf=tag_rf[tag], uf=len(tag_uf[tag]), bf=bf)
+        for tag, bf in tag_bf.items()
     }
     report = IngestReport(
-        total_users=len(all_users),
-        annotated_users=len(annotated_users),
-        total_resources=len(all_resources),
-        annotated_resources=len(annotated_resources),
+        total_users=len(set().union(*users_of.values())),
+        annotated_users=len(user_bookmarks),
+        total_resources=len(users_of),
+        annotated_resources=len(resource_bookmarks),
         total_bookmarks=len(kept),
-        annotated_bookmarks=n_annotated_bookmarks,
+        annotated_bookmarks=sum(map(len, resource_bookmarks.values())),
         distinct_tags=len(frequencies),
         duplicate_pairs_dropped=duplicate_pairs,
         duplicate_tags_collapsed=duplicate_tags,
@@ -272,13 +276,9 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
     return Folksonomy(
         bookmarks=tuple(kept),
         resource_tag_weights=resource_tag_weights,
-        resource_annotators=resource_annotators,
         tag_frequencies=frequencies,
-        n_resources=len(annotated_resources),
-        n_users=len(annotated_users),
-        n_bookmarks=n_annotated_bookmarks,
         report=report,
-        all_resource_ids=frozenset(all_resources),
+        all_resource_ids=frozenset(users_of),
         user_bookmarks={u: tuple(bs) for u, bs in user_bookmarks.items()},
         resource_bookmarks={r: tuple(bs) for r, bs in resource_bookmarks.items()},
     )

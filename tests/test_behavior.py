@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,10 +248,24 @@ class TestDescriptiveness:
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([f"t{i}" for i in range(10)]),
                          min_size=1, max_size=6, unique=True),
-                min_size=1, max_size=15))
-def test_measure_invariants_on_random_users(tag_lists):
+                min_size=1, max_size=15),
+       st.integers(0, 300))
+def test_measure_invariants_on_random_users(tag_lists, extra):
+    # `extra` bookmarks of one tag lift the orphan threshold up to 4
+    tag_lists = tag_lists + [["t0"]] * extra
     f = user_with(tag_lists)
     p = user_profile(f, "u")
     assert p.tpp >= 1.0
     assert p.trr <= p.tpp
     assert 0.0 <= p.orphan <= 1.0
+    # each field against its definition, by brute force over the tag lists
+    vocab = {t for tags in tag_lists for t in tags}
+    resources_with = {t: sum(1 for tags in tag_lists if t in tags) for t in vocab}
+    threshold = math.ceil(max(resources_with.values()) / 100)
+    assignments = sum(len(tags) for tags in tag_lists)
+    assert (p.n_resources, p.n_distinct_tags, p.n_assignments) == (
+        len(tag_lists), len(vocab), assignments)
+    assert p.tpp == assignments / len(tag_lists) == tpp(f, "u")
+    assert p.trr == len(vocab) / len(tag_lists) == trr(f, "u")
+    assert p.orphan == orphan(f, "u") == sum(
+        1 for c in resources_with.values() if c <= threshold) / len(vocab)

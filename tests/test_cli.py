@@ -125,6 +125,20 @@ class TestCommitteeCommand:
         a.write_text("res\tc0:1.0\n")
         assert run(["committee", a]) == 1
 
+    @pytest.mark.parametrize("text,reason", [
+        ("res\ta:1.0 c:0.5\n", "categories ('a', 'c') differ from ('a', 'b') in {first}"),
+        ("other\ta:1.0 b:0.5\n", "instance ids differ from those in {first}")],
+        ids=["categories", "instances"])
+    def test_mismatched_member_names_both_files(self, tmp_path, capsys, text, reason):
+        """The third file is named by its path, against the first one's."""
+        a, b, c = (tmp_path / f"{name}.margins" for name in "abc")
+        a.write_text("res\ta:1.0 b:0.5\n")
+        b.write_text("res\ta:0.5 b:1.0\n")
+        c.write_text(text)
+        assert run(["committee", a, b, c]) == 1
+        err = capsys.readouterr().err
+        assert err == f"folkclass: error: {c}: {reason.format(first=a)}\n"
+
 
 class TestGen:
     def test_byte_identical_output(self, tmp_path):
@@ -416,6 +430,20 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert run(argv) == 1
         assert capsys.readouterr().err == f"folkclass: error: {bad}: {reason}\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_no_overlap_names_both_files(self, tmp_path, capsys, command):
+        vectors, labels = tmp_path / "v.tsv", tmp_path / "labels.tsv"
+        vectors.write_text("r0\t0:1.0\nr1\t0:2.0\n")
+        labels.write_text("s0\tcat0\ns1\tcat1\n")
+        model = tmp_path / "m.json"
+        if command == "eval":
+            model.write_text(json.dumps(_LINEAR))
+        argv = {"train": ["train", "--model-out", model],
+                "eval": ["eval", "--model", model]}[command]
+        assert run(argv + ["--vectors", vectors, "--labels", labels]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: no overlap between vectors {vectors} and labels {labels}\n")
 
     def test_bad_margin_file_names_line(self, tmp_path, capsys):
         good = tmp_path / "a.margins"

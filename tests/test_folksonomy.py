@@ -82,6 +82,63 @@ class TestIngest:
             assert all(w <= f.resource_annotators[r] for w in weights.values())
 
 
+def recount(stream):
+    """Independent recount of everything ingest derives from a raw stream:
+    each kept bookmark as (user, resource, tags, order, synthetic_order),
+    the report fields, and p per annotated resource."""
+    kept, collapsed = [], 0
+    for b in stream:
+        if any((k[0], k[1]) == (b.user, b.resource) for k in kept):
+            continue
+        tags = tuple(t for i, t in enumerate(b.tags) if t not in b.tags[:i])
+        collapsed += len(b.tags) - len(tags)
+        earlier = sum(1 for k in kept if k[1] == b.resource)
+        kept.append((b.user, b.resource, tags)
+                    + ((earlier, True) if b.order is None else (b.order, b.synthetic_order)))
+    annotated = [k for k in kept if k[2]]
+    report = {
+        "total_users": len({k[0] for k in kept}),
+        "annotated_users": len({k[0] for k in annotated}),
+        "total_resources": len({k[1] for k in kept}),
+        "annotated_resources": len({k[1] for k in annotated}),
+        "total_bookmarks": len(kept),
+        "annotated_bookmarks": len(annotated),
+        "distinct_tags": len({t for k in annotated for t in k[2]}),
+        "duplicate_pairs_dropped": len(stream) - len(kept),
+        "duplicate_tags_collapsed": collapsed,
+    }
+    annotators = {r: sum(1 for k in annotated if k[1] == r) for _, r, *_ in annotated}
+    return kept, report, annotators
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+_STREAMS = st.lists(
+    st.builds(Bookmark, _NAMES, _NAMES,
+              st.lists(st.sampled_from(["t0", "t1", "t2", "t3", "t4"]), max_size=5)
+              .map(tuple),
+              st.none() | st.integers(0, 9), st.booleans()),
+    max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_STREAMS)
+def test_ingest_matches_independent_recount(stream):
+    """Duplicate pairs, repeated tags, empty tag lists, explicit and missing
+    orders: every count ingest keeps or derives equals a brute-force one."""
+    f = ingest_bookmarks(stream)
+    kept, report, annotators = recount(stream)
+    assert f.report.as_dict() == report
+    assert (f.n_resources, f.n_users, f.n_bookmarks) == (
+        report["annotated_resources"], report["annotated_users"],
+        report["annotated_bookmarks"])
+    assert f.resource_annotators == annotators
+    assert f.all_resource_ids == {k[1] for k in kept}
+    assert [(b.user, b.resource, b.tags, b.order, b.synthetic_order)
+            for b in f.bookmarks] == kept
+    assert {t: (q.rf, q.uf, q.bf) for t, q in f.tag_frequencies.items()} == \
+        brute_force_frequencies(stream)
+
+
 class TestBookmarkParsing:
     def test_round_trip(self):
         b = Bookmark("u1", "r1", ("a", "b"), order=3)
