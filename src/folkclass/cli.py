@@ -132,7 +132,8 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], args,
                      categories: Sequence[str] = (),
                      ) -> tuple[LabeledDataset, list[str]]:
     """The dataset of the `vectors` (read from `args.vectors`) that
-    `args.labels` labels at `args.level`, and their resource ids in order."""
+    `args.labels` labels at `args.level`, and their resource ids in order;
+    its categories are the model's (`args.model`) if given, else the labels'."""
     from .svm import LabeledDataset
 
     with _reading(args.labels):
@@ -141,7 +142,10 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], args,
     if not used:
         raise ToolkitError(f"no overlap between vectors {args.vectors} "
                            f"and labels {args.labels}")
+    source = args.model if categories else f"{args.labels} at level {args.level}"
     categories = list(categories or sorted({label_of[r] for r in used}))
+    if len(categories) < 2:
+        raise ToolkitError(f"{source}: need at least 2 categories, got {len(categories)}")
     cat_id = {c: i for i, c in enumerate(categories)}
     for r in used:
         if label_of[r] not in cat_id:

@@ -120,12 +120,14 @@ def write_margin_lines(table: MarginTable) -> Iterable[str]:
 
 
 def read_margin_lines(lines: Iterable[str]) -> MarginTable:
-    """Parse a margin file; every line lists the same categories in order."""
+    """Parse a margin file; every line lists the same categories in order, at least one."""
     records = list(read_pair_lines(lines, str))
     if not records:
         raise ValueError("empty margin file")
     categories = list(records[0][2])
     for line_number, _, pairs in records:
+        if not pairs:
+            raise MalformedRecordError(line_number, "lists no category:score pair")
         if list(pairs) != categories:
             raise MalformedRecordError(line_number, f"categories differ from {categories}")
     return MarginTable(tuple(inst for _, inst, _ in records), tuple(categories),

@@ -57,6 +57,8 @@ class RegimeConfig:
                 raise ValueError(f"{name} range must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
         if not 0.0 <= self.acceptance <= 1.0:
             raise ValueError(f"acceptance must be in [0, 1], got {self.acceptance}")
+        if not np.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent}")
         if self.tags_per_bookmark[1] > self.pool_size:
             raise ValueError(
                 f"tag pool of {self.pool_size} cannot supply up to "

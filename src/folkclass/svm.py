@@ -24,13 +24,16 @@ instances only as sparse rows, and a step costs what the instance's
 non-zeros cost: the weights are kept in the Pegasos scaled form and the tail
 average lazily, so no step touches a column the instance does not hold.
 
-Margins are plain float arrays of length k; prediction is argmax with
-lowest-id tie-break.  Both come from one batched pass over a batch of
-vectors (a single vector is a batch of one), which sums each row exactly
-as a loop over the vector's entries would: bias first, then every entry in
-entry order.  One-vs-one scores every pair in that same pass, then sums its
-signed margins per category in pair order and counts each category's wins.
-Training is deterministic under a fixed seed.
+A batch of vectors is flattened in one place, `_csr`, into compressed
+sparse rows: row offsets, then every entry's column and value in entry
+order.  A `LabeledDataset` holds its instances that way, and so does a
+scored batch.  Margins are plain float arrays of length k; prediction is
+argmax with lowest-id tie-break.  Both come from one batched pass over a
+batch of vectors (a single vector is a batch of one), which sums each row
+exactly as a loop over the vector's entries would: bias first, then every
+entry in entry order.  One-vs-one scores every pair in that same pass, then
+sums its signed margins per category in pair order and counts each
+category's wins.  Training is deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import json
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -59,7 +63,6 @@ __all__ = [
 MODEL_FORMAT = "folkclass-model/1"
 MODEL_KINDS = ("linear", "one-vs-one")
 _HINGE_EXPONENT = 1   # the only loss is the plain hinge; echoed for format stability
-_MARGIN_CHUNK_FLOATS = 1 << 14   # bound on a margin pass's (rows, L+1, k) temporary
 _LOCKSTEP_ENTRIES = 1 << 14      # bound on a one-vs-one lockstep block's gathered entries
 
 
@@ -84,8 +87,8 @@ class TrainConfig:
     scheme: str = "native"
 
     def __post_init__(self):
-        if self.penalty <= 0:
-            raise ValueError(f"penalty must be > 0, got {self.penalty}")
+        if not (self.penalty > 0 and np.isfinite(self.penalty)):
+            raise ValueError(f"penalty must be finite and > 0, got {self.penalty}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.scheme not in SCHEMES:
@@ -96,8 +99,20 @@ class TrainConfig:
         return {**asdict(self), "hinge_exponent": _HINGE_EXPONENT}
 
 
+def _csr(fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch of vectors as compressed sparse rows: row i's entries are
+    cols[starts[i]:starts[i+1]] and vals[starts[i]:starts[i+1]], in entry order."""
+    entries = [fv.entries for fv in fvs]
+    starts = np.cumsum(np.fromiter(chain((0,), map(len, entries)), np.intp, len(entries) + 1))
+    cols = np.fromiter(chain.from_iterable(entries), np.intp, starts[-1])
+    vals = np.fromiter(chain.from_iterable(e.values() for e in entries), float, starts[-1])
+    return starts, cols, vals
+
+
 class LabeledDataset:
-    """Instances (sparse vector, category id) over dense ids 0..k-1."""
+    """Instances (sparse vector, category id) over dense ids 0..k-1, also held
+    flattened: the vectors as the `_csr` arrays `starts`, `cols` and `vals`,
+    the category ids as the array `labels`.  Every other view reads those."""
 
     def __init__(self, instances: Sequence[tuple[FeatureVector, int]],
                  categories: Sequence[str], n_features: int):
@@ -105,14 +120,16 @@ class LabeledDataset:
             raise ValueError(f"need at least 2 categories, got {len(categories)}")
         self.instances = list(instances)
         self.categories = list(categories)
-        k = len(categories)
-        for i, (fv, cid) in enumerate(self.instances):
-            if not 0 <= cid < k:
-                raise ValueError(f"category id {cid} outside 0..{k - 1}")
-            if max(fv.entries, default=-1) >= n_features:
-                raise ValueError(f"instance {i}: feature id {max(fv.entries)} "
-                                 f"outside 0..{n_features - 1}")
         self.n_features = n_features
+        self.starts, self.cols, self.vals = _csr(list(map(itemgetter(0), self.instances)))
+        self.labels = np.fromiter(map(itemgetter(1), self.instances), np.int64, len(self))
+        bad = (self.labels < 0) | (self.labels >= self.k)
+        if bad.any():
+            raise ValueError(f"category id {self.labels[bad.argmax()]} outside 0..{self.k - 1}")
+        if self.cols.size and self.cols.max() >= n_features:   # name the first wide instance
+            i = np.searchsorted(self.starts, np.argmax(self.cols >= n_features), "right") - 1
+            top = self.cols[self.starts[i]:self.starts[i + 1]].max()
+            raise ValueError(f"instance {i}: feature id {top} outside 0..{n_features - 1}")
 
     def __len__(self) -> int:
         return len(self.instances)
@@ -122,24 +139,17 @@ class LabeledDataset:
         return len(self.categories)
 
     def category_counts(self) -> list[int]:
-        counts = [0] * self.k
-        for _, cid in self.instances:
-            counts[cid] += 1
-        return counts
+        return np.bincount(self.labels, minlength=self.k).tolist()
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense (n, d+1) matrix with a trailing all-ones bias column, and labels.
 
         The exact objectives use it; training does not build it."""
-        n, d = len(self.instances), self.n_features
+        n, d = len(self), self.n_features
         X = np.zeros((n, d + 1))
-        y = np.zeros(n, dtype=np.int64)
-        for row, (fv, cid) in enumerate(self.instances):
-            for fid, w in fv.entries.items():
-                X[row, fid] = w
-            X[row, d] = 1.0
-            y[row] = cid
-        return X, y
+        X[np.repeat(np.arange(n), np.diff(self.starts)), self.cols] = self.vals
+        X[:, d] = 1.0
+        return X, self.labels.copy()
 
 
 class Model:
@@ -185,46 +195,32 @@ class LinearModel(Model):
         return np.hstack([self.weights, self.biases[:, None]])
 
     @cached_property
-    def _term_rows(self) -> np.ndarray:
-        """(d+2, k): each feature's column of weights, then -0.0, then the biases.
-
-        A margin term is value * row: an entry (w, fid) gives w * weights[:, fid],
-        (1.0, -1) gives the biases, and (1.0, -2) gives -0.0, which pads a row
-        without changing its sum (s + -0.0 == s, also for s == -0.0).
-        """
-        return np.vstack([self.weights.T, np.full(self.k, -0.0), self.biases])
+    def _columns(self) -> np.ndarray:
+        """(d, k): each feature's column of weights, contiguous, as float64."""
+        return np.ascontiguousarray(self.weights.T, dtype=float)
 
     def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
         """Margins of every vector, shape (n, k).
 
-        Each row is summed strictly left to right (add.accumulate): the bias,
-        then w * weights[:, fid] for each entry in the vector's entry order.
-        Rows go in chunks that bound the (rows, L+1, k) term array, L the
-        longest vector's length.
+        Each row is summed strictly left to right: the bias, then
+        w * weights[:, fid] for each entry in the vector's entry order.  The
+        rows go longest first, so pass j adds every row's j-th term to a
+        prefix of them; a row whose entries have run out is left alone.
         """
-        entries = [fv.entries for fv in fvs]
-        longest = max(map(len, entries), default=0)
-        step = max(1, _MARGIN_CHUNK_FLOATS // ((longest + 1) * self.k))
-        out = np.empty((len(entries), self.k))
-        for lo in range(0, len(entries), step):
-            out[lo:lo + step] = self._summed(entries[lo:lo + step], lo, longest + 1)
-        return out
-
-    def _summed(self, entries: list[dict[int, float]], first: int, width: int) -> np.ndarray:
-        """Margins of a chunk whose rows are padded to `width` terms."""
-        ids = np.fromiter(chain.from_iterable(
-            chain((-1,), e, repeat(-2, width - 1 - len(e))) for e in entries),
-            np.intp, len(entries) * width)
-        vals = np.fromiter(chain.from_iterable(
-            chain((1.0,), e.values(), repeat(1.0, width - 1 - len(e))) for e in entries),
-            float, ids.size)
-        if ids.size and ids.max() >= self.n_features:
-            pos = int(np.argmax(ids >= self.n_features))
-            raise _FeatureOutOfWidth(first + pos // width, ids[pos], self.n_features)
-        terms = self._term_rows[ids]
-        terms *= vals[:, None]
-        terms = terms.reshape(len(entries), width, self.k)
-        return np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+        starts, cols, vals = _csr(fvs)
+        if cols.size and cols.max() >= self.n_features:
+            at = np.argmax(cols >= self.n_features)
+            raise _FeatureOutOfWidth(int(np.searchsorted(starts, at, "right") - 1), cols[at],
+                                     self.n_features)
+        lengths = np.diff(starts)
+        order = np.argsort(-lengths, kind="stable")
+        heads = starts[:-1][order]
+        longer = len(lengths) - np.cumsum(np.bincount(lengths))    # rows with a (j+1)-th entry
+        sums = np.tile(self.biases.astype(float), (len(lengths), 1))
+        for j, m in enumerate(longer[:-1].tolist()):
+            at = heads[:m] + j
+            sums[:m] += self._columns[cols[at]] * vals[at, None]
+        return sums[np.argsort(order)]
 
     def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
         """`margins_batch`, and the argmax margin of every vector (lowest id on
@@ -303,11 +299,11 @@ def _check_no_empty_category(dataset: LabeledDataset) -> None:
 def _sparse_rows(dataset: LabeledDataset) -> tuple[list[tuple[np.ndarray, np.ndarray]],
                                                    np.ndarray]:
     """Per instance, its non-zero columns (bias column d last) and values; and the labels."""
-    bias = dataset.n_features
-    rows = [(np.fromiter(chain(fv.entries, (bias,)), np.intp, len(fv) + 1),
-             np.fromiter(chain(fv.entries.values(), (1.0,)), float, len(fv) + 1))
-            for fv, _ in dataset.instances]
-    return rows, np.array([cid for _, cid in dataset.instances], dtype=np.int64)
+    ends = dataset.starts[1:]
+    cols = np.insert(dataset.cols, ends, dataset.n_features)
+    vals = np.insert(dataset.vals, ends, 1.0)
+    bounds = (dataset.starts + np.arange(len(dataset) + 1)).tolist()
+    return [(cols[lo:hi], vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dataset.labels
 
 
 def _schedule(n: int, cfg: TrainConfig) -> tuple[np.ndarray, int, np.ndarray]:
@@ -603,11 +599,9 @@ def self_train_2step(labeled: LabeledDataset,
     union.  With no unlabeled data the returned model is the supervised one.
     """
     first = train(labeled, cfg)
-    pseudo = list(zip(unlabeled, first.predict_batch(unlabeled).tolist()))
-    counts = {c: 0 for c in labeled.categories}
-    for _, cid in pseudo:
-        counts[labeled.categories[cid]] += 1
-    union = LabeledDataset(list(labeled.instances) + pseudo,
+    pseudo = first.predict_batch(unlabeled)
+    counts = dict(zip(labeled.categories, np.bincount(pseudo, minlength=labeled.k).tolist()))
+    union = LabeledDataset(labeled.instances + list(zip(unlabeled, pseudo.tolist())),
                            labeled.categories, labeled.n_features)
     final = train(union, cfg)
     return SelfTrainResult(model=final, pseudo_label_counts=counts)
@@ -623,8 +617,7 @@ def _evaluate(model: Model, test: LabeledDataset) -> tuple[float, np.ndarray]:
     if len(test) == 0:
         raise ValueError("empty test set")
     margins, predicted = model._scores([fv for fv, _ in test.instances])
-    correct = sum(1 for p, (_, cid) in zip(predicted.tolist(), test.instances) if p == cid)
-    return correct / len(test), margins
+    return int(np.count_nonzero(predicted == test.labels)) / len(test), margins
 
 
 # --- exact primal objectives and their (sub)gradients, on augmented arrays ---
@@ -677,13 +670,11 @@ def objective_value(model: Model, dataset: LabeledDataset, cfg: TrainConfig) -> 
     """
     X, y = dataset.to_arrays()
     C = cfg.penalty
+    if cfg.scheme != "one-vs-one" and not isinstance(model, LinearModel):
+        raise TypeError(f"{cfg.scheme} objective needs a LinearModel")
     if cfg.scheme == "native":
-        if not isinstance(model, LinearModel):
-            raise TypeError("native objective needs a LinearModel")
         return native_objective(model.augmented(), X, y, C)
     if cfg.scheme == "one-vs-all":
-        if not isinstance(model, LinearModel):
-            raise TypeError("one-vs-all objective needs a LinearModel")
         total = 0.0
         for m in range(model.k):
             ydec = np.where(y == m, 1.0, -1.0)

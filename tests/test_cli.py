@@ -453,6 +453,64 @@ class TestMalformedFiles:
         assert run(["committee", good, bad]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_margin_line_without_categories_names_file_and_line(self, tmp_path, capsys):
+        first, second = tmp_path / "a.margins", tmp_path / "b.margins"
+        first.write_text("i0\t\ni1\t\n")
+        second.write_text("i0\t\ni1\t\n")
+        assert run(["committee", first, second]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: {first}: line 1: lists no category:score pair\n")
+
+
+class TestOneCategoryNamesItsSource:
+    """Fewer than two categories is an error of the file they came from."""
+
+    @pytest.mark.parametrize("level", ["top", "second"])
+    def test_train_names_the_labels_file(self, tmp_path, capsys, level):
+        _, labels, _, vectors = write_corpus(tmp_path)
+        one = tmp_path / "one.tsv"
+        one.write_text("".join(f"{a.resource}\t{a.top}\tonly\n" if level == "second"
+                               else f"{a.resource}\tcat0\n" for a in labels))
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", "--vectors", vectors, "--labels", one, "--level", level,
+                    "--model-out", model]) == 1
+        assert capsys.readouterr().err == (f"folkclass: error: {one} at level {level}: "
+                                           f"need at least 2 categories, got 1\n")
+        assert not model.exists()
+
+    def test_eval_names_the_model_file(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({**_LINEAR, "categories": ["cat0"],
+                                     "weights": [[0.0]], "biases": [0.0]}))
+        capsys.readouterr()
+        assert run(["eval", "--model", model, "--vectors", vectors,
+                    "--labels", labels_path]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: {model}: need at least 2 categories, got 1\n")
+
+
+class TestNonFiniteSettingsRejected:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_penalty(self, tmp_path, capsys, value):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--penalty", value, "--model-out", model]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: penalty must be finite and > 0, got {value}\n")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gen_zipf(self, tmp_path, capsys, value):
+        out = tmp_path / "bookmarks.jsonl"
+        assert run(["gen", "--regime", "none", "--zipf", value, "-o", out]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: zipf_exponent must be finite, got {value}\n")
+        assert not out.exists()
+
 
 _LINEAR = {"format": "folkclass-model/1", "kind": "linear",
            "categories": ["cat0", "cat1"], "weights": [[0.0], [1.0]],
@@ -620,6 +678,7 @@ class TestSweepConfigTyposRejected:
         ({"k_values": "1,5"}, "k_values = 1,5"),
         ({"mode": "experiment", "k_values": "2"}, "k_values = 2"),
         ({"epochs": "x"}, "epochs = x: invalid literal for int()"),
+        ({"penalty": "nan"}, "penalty must be finite and > 0, got nan"),
     ])
     def test_rejected_by_key_and_value(self, tmp_path, capsys, config, named):
         out = tmp_path / "report.json"

@@ -183,6 +183,13 @@ class TestMarginLineCodec:
         with pytest.raises(MalformedRecordError, match="line 3"):
             read_margin_lines(["i0\ta:1.0", "", "i1\ta:one"])
 
+    @pytest.mark.parametrize("lines,line_number", [
+        (["i0\t"], 1), (["i0\t  ", "i1\t"], 1), (["i0\ta:1.0", "i1\t"], 2)])
+    def test_line_without_categories_names_line(self, lines, line_number):
+        with pytest.raises(MalformedRecordError, match="no category") as err:
+            read_margin_lines(lines)
+        assert err.value.line_number == line_number
+
     def test_repeated_category_in_a_line_rejected(self):
         with pytest.raises(MalformedRecordError, match="line 1"):
             read_margin_lines(["i0\ta:1.0 a:2.0"])

@@ -26,6 +26,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RegimeConfig(regime="none", acceptance=1.5)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_zipf_exponent_named(self, exponent):
+        with pytest.raises(ValueError, match="zipf_exponent must be finite"):
+            RegimeConfig(regime="none", zipf_exponent=exponent)
+
     def test_bad_range(self):
         with pytest.raises(ValueError):
             RegimeConfig(regime="none", bookmarks_per_user=(5, 2))

@@ -38,6 +38,13 @@ def blobs2():
     return LabeledDataset(instances, ["neg", "pos"], 2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_penalty_outside_finite_positives_named(self, penalty):
+        with pytest.raises(ValueError, match="penalty must be finite and > 0"):
+            TrainConfig(penalty=penalty)
+
+
 class TestDataset:
     def test_single_category_rejected(self):
         with pytest.raises(ValueError):

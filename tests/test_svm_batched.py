@@ -7,7 +7,6 @@ gate where scores do.
 
 from dataclasses import replace
 from itertools import product
-from unittest.mock import patch
 
 import hypothesis.extra.numpy as npst
 import hypothesis.strategies as st
@@ -62,21 +61,15 @@ def assert_batch_matches_loop(model, fvs) -> None:
 
 
 class TestBatchMatchesLoop:
-    @given(st.integers(1, 4), st.integers(1, 6), st.booleans(), st.data())
-    def test_linear(self, k, d, tiny_chunks, data):
+    @given(st.integers(1, 4), st.integers(1, 6), st.data())
+    def test_linear(self, k, d, data):
         model = linear_models(data, k, d, tuple(f"c{i}" for i in range(k)))
-        fvs = vector_batches(data, d)
-        with patch.object(svm, "_MARGIN_CHUNK_FLOATS", 1 if tiny_chunks else
-                          svm._MARGIN_CHUNK_FLOATS):
-            assert_batch_matches_loop(model, fvs)
+        assert_batch_matches_loop(model, vector_batches(data, d))
 
-    @given(st.integers(2, 4), st.integers(1, 6), st.booleans(), st.data())
-    def test_one_vs_one(self, k, d, tiny_chunks, data):
+    @given(st.integers(2, 4), st.integers(1, 6), st.data())
+    def test_one_vs_one(self, k, d, data):
         model = one_vs_one_models(data, k, d)
-        fvs = vector_batches(data, d)
-        with patch.object(svm, "_MARGIN_CHUNK_FLOATS", 1 if tiny_chunks else
-                          svm._MARGIN_CHUNK_FLOATS):
-            assert_batch_matches_loop(model, fvs)
+        assert_batch_matches_loop(model, vector_batches(data, d))
 
     @pytest.mark.parametrize("model", [
         LinearModel(np.ones((3, 2)), np.array([-0.0, 0.0, 1.0]), ("a", "b", "c")),
@@ -88,7 +81,7 @@ class TestBatchMatchesLoop:
         assert_batch_matches_loop(model, empty)
 
     def test_signed_zero_bias_survives_padding(self):
-        # a short row is padded with -0.0 terms; a -0.0 sum must stay -0.0
+        # a row with no entries keeps its bias as is; a -0.0 sum must stay -0.0
         model = LinearModel(np.array([[0.0, 1.0]]), np.array([-0.0]), ("a",))
         fvs = [FeatureVector({}, 2), FeatureVector({0: 3.0, 1: 2.0}, 2)]
         margins = model.margins_batch(fvs)
@@ -105,7 +98,7 @@ class TestBatchMatchesLoop:
                                   np.array(signed))
             assert_batch_matches_loop(model, fvs)
 
-    def test_many_chunks(self):
+    def test_many_vectors_of_mixed_lengths(self):
         rng = np.random.default_rng(3)
         d = 300
         model = LinearModel(rng.normal(size=(8, d)), rng.normal(size=8),
@@ -113,7 +106,35 @@ class TestBatchMatchesLoop:
         fvs = [FeatureVector({int(f): float(rng.integers(1, 4))
                               for f in rng.choice(d, int(rng.integers(0, 120)), replace=False)},
                              d) for _ in range(700)]
-        assert len(fvs) > svm._MARGIN_CHUNK_FLOATS // (121 * 8)     # several chunks
+        assert_batch_matches_loop(model, fvs)
+
+    @pytest.mark.parametrize("kind", ["linear", "one-vs-one"])
+    def test_one_long_vector_among_short_empty_and_tied_ones(self, kind):
+        # the position loop runs 3000 passes, the last ones over the two long
+        # rows alone; the short rows include empty ones and tied lengths
+        rng = np.random.default_rng(11)
+        d = 4000
+        model = (LinearModel(rng.normal(size=(5, d)), rng.normal(size=5),
+                             tuple(f"c{i}" for i in range(5))) if kind == "linear"
+                 else OneVsOneModel(("a", "b", "c"), ((0, 1), (0, 2), (1, 2)),
+                                    rng.normal(size=(3, d)), rng.normal(size=3)))
+        long = FeatureVector({int(f): float(rng.normal())
+                              for f in rng.permutation(d)[:3000]}, d)
+        short = [FeatureVector({int(f): float(rng.integers(1, 4))
+                                for f in rng.choice(d, size, replace=False)}, d)
+                 for size in (3, 1, 3, 0, 2, 3, 1, 0)]
+        fvs = [short[0], FeatureVector({}, d), long, *short[1:], long, FeatureVector({}, d)]
+        assert_batch_matches_loop(model, fvs)
+        for fv, row in zip(fvs, model.margins_batch(fvs)):
+            assert model.margins(fv).tobytes() == row.tobytes()
+
+    def test_integer_weights_give_float_margins(self):
+        model = LinearModel(np.array([[1, -2, 3], [0, 4, -1]]), np.array([5, -7]), ("a", "b"))
+        fvs = [FeatureVector({2: 0.5, 0: 2.0}, 3), FeatureVector({}, 3),
+               FeatureVector({1: 1.0}, 3)]
+        margins = model.margins_batch(fvs)
+        assert margins.dtype == np.float64
+        assert margins.tolist() == [[8.5, -7.5], [5.0, -7.0], [3.0, -3.0]]
         assert_batch_matches_loop(model, fvs)
 
 
@@ -134,16 +155,13 @@ class TestIdsOutsideTheModel:
         return [FeatureVector({0: 1.0}, 9), FeatureVector({}, 9),
                 FeatureVector({1: 2.0, 7: 1.0, 8: 1.0}, 9)]
 
-    @pytest.mark.parametrize("tiny_chunks", [False, True])
-    def test_linear_names_batch_position_and_id(self, tiny_chunks):
+    def test_linear_names_batch_position_and_id(self):
         model = LinearModel(np.ones((2, 3)), np.zeros(2), ("a", "b"))
-        with patch.object(svm, "_MARGIN_CHUNK_FLOATS", 1 if tiny_chunks else
-                          svm._MARGIN_CHUNK_FLOATS):
-            with pytest.raises(ValueError, match=r"vector 2: feature id 7 outside "
-                                                 r"the model's 3 features"):
-                model.margins_batch(self.batch())
-            with pytest.raises(ValueError, match="vector 2: feature id 7"):
-                model.predict_batch(self.batch())
+        with pytest.raises(ValueError, match=r"vector 2: feature id 7 outside "
+                                             r"the model's 3 features"):
+            model.margins_batch(self.batch())
+        with pytest.raises(ValueError, match="vector 2: feature id 7"):
+            model.predict_batch(self.batch())
 
     def test_one_vs_one_names_batch_position_and_id(self):
         model = constant_one_vs_one([1.0, 1.0, 1.0], n_features=3)
@@ -151,6 +169,58 @@ class TestIdsOutsideTheModel:
             model.margins_batch(self.batch())
         with pytest.raises(ValueError, match="vector 0: feature id 7"):
             model.predict(FeatureVector({7: 1.0}, 9))
+
+
+# --- the dataset's flattened instances ---
+
+def looped_arrays(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The per-entry dense fill that `to_arrays` replaced."""
+    X = np.zeros((len(ds), ds.n_features + 1))
+    y = np.zeros(len(ds), dtype=np.int64)
+    for row, (fv, cid) in enumerate(ds.instances):
+        for fid, w in fv.entries.items():
+            X[row, fid] = w
+        X[row, ds.n_features] = 1.0
+        y[row] = cid
+    return X, y
+
+
+class TestLabeledDataset:
+    @given(st.integers(1, 6), st.data())
+    def test_arrays_match_the_instances(self, d, data):
+        fvs = vector_batches(data, d)
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(fvs), max_size=len(fvs)))
+        ds = LabeledDataset(list(zip(fvs, labels)), ["a", "b", "c"], d)
+        assert ds.labels.tolist() == labels
+        assert ds.category_counts() == [labels.count(c) for c in range(3)]
+        rows, y = svm._sparse_rows(ds)
+        assert y.tolist() == labels
+        for i, (fv, (cols, vals)) in enumerate(zip(fvs, rows, strict=True)):
+            lo, hi = ds.starts[i], ds.starts[i + 1]
+            values = np.array(list(fv.entries.values()), dtype=float)
+            assert ds.cols[lo:hi].tolist() == list(fv.entries)
+            assert ds.vals[lo:hi].tobytes() == values.tobytes()
+            assert cols.tolist() == [*fv.entries, d]
+            assert vals.tobytes() == np.append(values, 1.0).tobytes()
+        X, y = ds.to_arrays()
+        X_loop, y_loop = looped_arrays(ds)
+        assert X.tobytes() == X_loop.tobytes() and y.tobytes() == y_loop.tobytes()
+
+    def test_first_instance_at_fault_is_named(self):
+        ok, wide = FeatureVector({0: 1.0}, 5), FeatureVector({1: 1.0, 3: 1.0, 4: 2.0}, 5)
+        with pytest.raises(ValueError, match=r"^category id 2 outside 0\.\.1$"):
+            LabeledDataset([(ok, 0), (ok, 2), (ok, -1)], ["a", "b"], 3)
+        with pytest.raises(ValueError, match=r"^instance 1: feature id 4 outside 0\.\.2$"):
+            LabeledDataset([(ok, 0), (wide, 1), (wide, 0)], ["a", "b"], 3)
+        with pytest.raises(ValueError, match=r"^category id -1 outside"):   # checked first
+            LabeledDataset([(wide, 0), (ok, -1)], ["a", "b"], 3)
+
+    def test_empty_dataset(self):
+        ds = LabeledDataset([], ["a", "b"], 2)
+        assert ds.category_counts() == [0, 0]
+        assert svm._sparse_rows(ds)[0] == []
+        X, y = ds.to_arrays()
+        assert X.shape == (0, 3) and y.shape == (0,)
 
 
 # --- training: the sparse step against the dense one ---
