@@ -14,7 +14,8 @@ import argparse
 
 import numpy as np
 
-from folkclass.folksonomy import Bookmark, CategoryAssignment, ingest_bookmarks
+from folkclass.folksonomy import Bookmark, ingest_bookmarks
+from folkclass.labels import CategoryAssignment
 from folkclass.harness import ExperimentSpec, run_experiment
 from folkclass.svm import SCHEMES, TrainConfig
 from folkclass.weighting import parse_member

@@ -10,10 +10,10 @@ import importlib
 # Each package-level name and the submodule that defines it.
 _EXPORTS = {
     **dict.fromkeys(
-        ("Bookmark", "CategoryAssignment", "Folksonomy", "IngestReport",
-         "TagFrequencies", "corpus_statistics", "filter_popular",
-         "ingest_bookmarks", "novelty_ratios", "parse_bookmark_lines",
-         "prune_small_categories", "strip_reading_state"), "folksonomy"),
+        ("Bookmark", "Folksonomy", "IngestReport", "TagFrequencies",
+         "corpus_statistics", "filter_popular", "ingest_bookmarks", "novelty_ratios",
+         "parse_bookmark_lines", "strip_reading_state"), "folksonomy"),
+    **dict.fromkeys(("CategoryAssignment", "prune_small_categories"), "labels"),
     **dict.fromkeys(("FeatureVector", "Vocabulary", "build_vocabulary"), "vectors"),
     **dict.fromkeys(
         ("RepresentationScheme", "Selection", "TextPipelineConfig", "Weighting",
@@ -42,7 +42,7 @@ _EXPORTS = {
 
 # Every submodule, reachable as an attribute of the package.
 _SUBMODULES = ("behavior", "choices", "cli", "committees", "errors", "folksonomy",
-               "generator", "harness", "porter", "representation", "svm",
+               "generator", "harness", "labels", "porter", "representation", "svm",
                "vectors", "weighting")
 
 __all__ = list(_EXPORTS)

@@ -24,6 +24,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from .choices import MEASURES
 from .errors import DegenerateInputError
 from .folksonomy import Folksonomy
 from .vectors import FeatureVector
@@ -34,8 +35,6 @@ __all__ = [
     "split_by_assignments", "descriptiveness", "DescriptivenessResult",
     "profile_lines",
 ]
-
-MEASURES = ("tpp", "trr", "orphan")
 
 RANKING_DIRECTION = "ascending: low verbosity/diversity ranks first (Categorizer end)"
 

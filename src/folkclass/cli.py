@@ -16,22 +16,16 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import behavior as behavior_mod
-from .choices import REGIMES, SCHEMES
+from .choices import (DEFAULT_READING_STATE_TAGS, INVERSE_FREQUENCY_KINDS, LEVELS,
+                      MEASURES, REGIMES, SCHEMES)
 from .errors import ToolkitError
-from .folksonomy import (DEFAULT_READING_STATE_TAGS, LEVELS, Folksonomy,
-                         bookmark_to_line, corpus_statistics, ingest_bookmarks,
-                         label_map, novelty_ratios, parse_bookmark_lines,
-                         parse_category_lines, strip_reading_state)
-from .representation import RepresentationScheme, load_stopwords, tag_vocabulary
-from .vectors import FeatureVector, read_vector_lines, write_vector_lines
-from .weighting import InverseFrequencyKind, correlate_weightings, vectorize
 
-# numpy and the modules built on it (svm, committees, generator, harness) are
-# imported inside the handlers that compute with them, so that the counting
-# subcommands and --help start without loading numpy.
+# Every other folkclass module is imported inside the handlers that compute
+# with it, so that a process loads only what its subcommand runs (README).
 if TYPE_CHECKING:
+    from .folksonomy import Folksonomy
     from .svm import LabeledDataset
+    from .vectors import FeatureVector
 
 __all__ = ["main"]
 
@@ -75,8 +69,11 @@ def _write_tsv(lines: Iterable[str], path: str | None) -> None:
 
 
 def _load_folksonomy(args) -> Folksonomy:
+    from .folksonomy import ingest_bookmarks, parse_bookmark_lines, strip_reading_state
+
     blocked = DEFAULT_READING_STATE_TAGS
     if args.blocked_tags:     # main() has checked --strip-reading-state
+        from .representation import load_stopwords
         with _reading(args.blocked_tags):
             blocked = load_stopwords(_read_lines(args.blocked_tags))
     with _reading(args.bookmarks):
@@ -86,15 +83,6 @@ def _load_folksonomy(args) -> Folksonomy:
         return ingest_bookmarks(stream)
 
 
-def _mean_novelty_by_rank(f: Folksonomy, allow_synthetic: bool) -> list[dict]:
-    by_rank: dict[int, list[float]] = {}
-    for r in sorted(f.resource_bookmarks):
-        for rank, ratio in novelty_ratios(f, r, allow_synthetic_order=allow_synthetic):
-            by_rank.setdefault(rank, []).append(ratio)
-    return [{"rank": rank, "mean_ratio": sum(v) / len(v), "n_resources": len(v)}
-            for rank, v in sorted(by_rank.items())]
-
-
 def _cmd_ingest(args) -> int:
     f = _load_folksonomy(args)
     _write_json({"meta": {"kind": "ingest"}, "report": f.report.as_dict()}, args.output)
@@ -102,16 +90,27 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .folksonomy import corpus_statistics, novelty_ratios
+
     f = _load_folksonomy(args)
     report = corpus_statistics(f)
-    if args.novelty:
-        report["novelty_by_rank"] = _mean_novelty_by_rank(
-            f, args.allow_synthetic_order)
+    if args.novelty:    # the mean novelty ratio at each bookmark rank
+        by_rank: dict[int, list[float]] = {}
+        for r in sorted(f.resource_bookmarks):
+            for rank, ratio in novelty_ratios(f, r, args.allow_synthetic_order):
+                by_rank.setdefault(rank, []).append(ratio)
+        report["novelty_by_rank"] = [
+            {"rank": rank, "mean_ratio": sum(v) / len(v), "n_resources": len(v)}
+            for rank, v in sorted(by_rank.items())]
     _write_json(report, args.output)
     return 0
 
 
 def _cmd_vectors(args) -> int:   # represent and weight
+    from .representation import RepresentationScheme, tag_vocabulary
+    from .vectors import write_vector_lines
+    from .weighting import InverseFrequencyKind, correlate_weightings, vectorize
+
     f = _load_folksonomy(args)
     if getattr(args, "correlate", False):    # weight only
         _write_json({"meta": {"kind": "correlation"},
@@ -134,6 +133,7 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], args,
     """The dataset of the `vectors` (read from `args.vectors`) that
     `args.labels` labels at `args.level`, and their resource ids in order;
     its categories are the model's (`args.model`) if given, else the labels'."""
+    from .labels import label_map, parse_category_lines
     from .svm import LabeledDataset
 
     with _reading(args.labels):
@@ -158,6 +158,7 @@ def _labeled_dataset(vectors: dict[str, FeatureVector], args,
 
 def _cmd_train(args) -> int:
     from . import svm
+    from .vectors import read_vector_lines
 
     with _reading(args.vectors):
         vectors = read_vector_lines(_read_lines(args.vectors))
@@ -186,6 +187,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from . import svm
     from .committees import MarginTable, write_margin_lines
+    from .vectors import read_vector_lines
 
     with _reading(args.model):
         model = svm.model_from_json(Path(args.model).read_text(encoding="utf-8"))
@@ -238,17 +240,19 @@ def _cmd_committee(args) -> int:
 
 
 def _cmd_behavior(args) -> int:
+    from . import behavior
+
     f = _load_folksonomy(args)
-    profiles = behavior_mod.all_profiles(f)
+    profiles = behavior.all_profiles(f)
     if args.measure is None:
-        _write_tsv(behavior_mod.profile_lines(profiles), args.output)
+        _write_tsv(behavior.profile_lines(profiles), args.output)
         return 0
-    ranked = behavior_mod.rank_users(profiles, args.measure)
-    split = behavior_mod.split_by_assignments(ranked, args.percent, args.measure)
+    ranked = behavior.rank_users(profiles, args.measure)
+    split = behavior.split_by_assignments(ranked, args.percent, args.measure)
     _write_json({
         "meta": {"kind": "behavior-split", "measure": args.measure,
                  "percent": args.percent,
-                 "ranking_direction": behavior_mod.RANKING_DIRECTION},
+                 "ranking_direction": behavior.RANKING_DIRECTION},
         "categorizers": list(split.categorizers),
         "describers": list(split.describers),
         "categorizer_fraction": split.categorizer_fraction,
@@ -258,6 +262,7 @@ def _cmd_behavior(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .folksonomy import bookmark_to_line
     from .generator import RegimeConfig, generate_bookmarks
 
     lines = [bookmark_to_line(b) for b in generate_bookmarks(_config(RegimeConfig, args))]
@@ -268,6 +273,7 @@ def _cmd_gen(args) -> int:
 def _cmd_sweep(args) -> int:
     from .harness import (parse_flat_config, run_experiment, run_topk_sweep,
                           sweep_from_config)
+    from .labels import parse_category_lines
 
     with _reading(args.config):
         spec, k_values = sweep_from_config(parse_flat_config(_read_lines(args.config)))
@@ -335,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("weight", _cmd_vectors, "inverse-frequency weighted vectors",
                 bookmarks, vocabulary)
-    p.add_argument("--kind", choices=[k.value for k in InverseFrequencyKind],
-                   default="irf")
+    p.add_argument("--kind", choices=INVERSE_FREQUENCY_KINDS, default="irf")
     p.add_argument("--correlate", action="store_true",
                    help="emit correlations between the weighting functions instead")
 
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sum raw margins without per-classifier normalization")
 
     p = command("behavior", _cmd_behavior, "user tagging-motivation measures", bookmarks)
-    p.add_argument("--measure", choices=behavior_mod.MEASURES, default=None)
+    p.add_argument("--measure", choices=MEASURES, default=None)
     p.add_argument("--percent", type=float, default=50.0)
 
     p = command("gen", _cmd_gen, "generate a synthetic bookmark stream", seed,

@@ -11,34 +11,18 @@ Tags are opaque byte strings: no case folding, no stemming, no merging.
 from __future__ import annotations
 
 import json
-import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .choices import DEFAULT_READING_STATE_TAGS
 from .errors import MalformedRecordError, SyntheticOrderError, UnknownResourceError
 
 __all__ = [
     "Bookmark", "TagFrequencies", "IngestReport", "Folksonomy",
-    "CategoryAssignment", "LEVELS", "check_level", "label_map",
-    "DEFAULT_READING_STATE_TAGS",
     "parse_bookmark_lines", "bookmark_to_line", "strip_reading_state",
-    "ingest_bookmarks", "filter_popular", "prune_small_categories",
-    "novelty_ratios", "corpus_statistics",
-    "parse_category_lines",
+    "ingest_bookmarks", "filter_popular", "novelty_ratios", "corpus_statistics",
 ]
-
-logger = logging.getLogger(__name__)
-
-DEFAULT_READING_STATE_TAGS = frozenset({"read", "currently-reading", "to-read"})
-
-LEVELS = ("top", "second")     # the category levels of a CategoryAssignment
-
-
-def check_level(level: str) -> None:
-    """Raise ValueError unless `level` is one of LEVELS."""
-    if level not in LEVELS:
-        raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -124,30 +108,6 @@ class Folksonomy:
             return self.resource_tag_weights[resource]
         except KeyError:
             raise UnknownResourceError(resource) from None
-
-
-@dataclass(frozen=True)
-class CategoryAssignment:
-    """Expert label for a resource: top-level category and optional second level."""
-
-    resource: str
-    top: str
-    second: str | None = None
-
-    def at_level(self, level: str) -> str | None:
-        """The category at `level` (one of LEVELS); None if there is none."""
-        check_level(level)
-        return self.top if level == "top" else self.second
-
-
-def label_map(labels: Iterable[CategoryAssignment], level: str) -> dict[str, str]:
-    """Resource -> category at `level`, for every assignment that has one."""
-    out = {}
-    for a in labels:
-        category = a.at_level(level)
-        if category is not None:
-            out[a.resource] = category
-    return out
 
 
 def parse_bookmark_lines(lines: Iterable[str]) -> Iterator[Bookmark]:
@@ -255,8 +215,10 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
             tag_uf.setdefault(tag, set()).add(b.user)
             tag_bf[tag] = tag_bf.get(tag, 0) + 1
 
-    if duplicate_pairs:
-        logger.warning("dropped %d duplicate (user, resource) bookmarks", duplicate_pairs)
+    if duplicate_pairs:     # logging is imported only to warn, as it costs start-up time
+        import logging
+        logging.getLogger(__name__).warning(
+            "dropped %d duplicate (user, resource) bookmarks", duplicate_pairs)
 
     frequencies = {
         tag: TagFrequencies(rf=tag_rf[tag], uf=len(tag_uf[tag]), bf=bf)
@@ -284,45 +246,18 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
     )
 
 
+def __getattr__(name: str):
+    if name == "CategoryAssignment":    # its home before labels.py; perfbench reads it here
+        from .labels import CategoryAssignment
+        return CategoryAssignment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def filter_popular(f: Folksonomy, min_users: int) -> set[str]:
     """Resources with at least min_users annotated bookmarks."""
     if min_users < 1:
         raise ValueError(f"min_users must be >= 1, got {min_users}")
     return {r for r, p in f.resource_annotators.items() if p >= min_users}
-
-
-def prune_small_categories(labels: Iterable[CategoryAssignment],
-                           level: str,
-                           min_resources: int,
-                           ) -> tuple[list[CategoryAssignment], dict]:
-    """Drop categories at the given level with fewer than min_resources resources.
-
-    Resources under a dropped category are removed with it.  Returns the
-    surviving assignments plus a removal report.
-    """
-    check_level(level)
-    if min_resources < 1:
-        raise ValueError(f"min_resources must be >= 1, got {min_resources}")
-    labels = list(labels)
-    counts: dict[str, int] = {}
-    for a in labels:
-        category = a.at_level(level)
-        if category is not None:
-            counts[category] = counts.get(category, 0) + 1
-    dropped = {c for c, n in counts.items() if n < min_resources}
-    kept, removed = [], []
-    for a in labels:
-        if a.at_level(level) in dropped:
-            removed.append(a.resource)
-        else:
-            kept.append(a)
-    report = {
-        "level": level,
-        "min_resources": min_resources,
-        "dropped_categories": sorted(dropped),
-        "removed_resources": removed,
-    }
-    return kept, report
 
 
 def novelty_ratios(f: Folksonomy, resource: str,
@@ -437,18 +372,3 @@ def corpus_statistics(f: Folksonomy) -> dict:
         "within_resource_relative_usage": relative_usage,
         "tag_relation_buckets": buckets,
     }
-
-
-def parse_category_lines(lines: Iterable[str]) -> Iterator[CategoryAssignment]:
-    """Parse `resource<TAB>top<TAB>second` lines; the second level may be empty."""
-    for line_number, line in enumerate(lines, 1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise MalformedRecordError(
-                line_number, "expected resource<TAB>top[<TAB>second]")
-        second = parts[2] if len(parts) == 3 and parts[2] else None
-        yield CategoryAssignment(resource=parts[0], top=parts[1], second=second)
-

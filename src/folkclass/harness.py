@@ -18,7 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InsufficientDataError
-from .folksonomy import CategoryAssignment, Folksonomy, check_level, label_map
+from .folksonomy import Folksonomy
+from .labels import CategoryAssignment, check_level, label_map
 from .representation import RepresentationScheme, Selection, Weighting
 from .svm import LabeledDataset, TrainConfig, train
 from .committees import MarginTable, combine, predict_committee_batch

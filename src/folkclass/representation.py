@@ -10,7 +10,6 @@ stemming and is weighted tf * ln(|D|/df).
 from __future__ import annotations
 
 import enum
-import logging
 import re
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -26,8 +25,6 @@ __all__ = [
     "top_k_tags", "represent_resource", "represent_text", "tokenize",
     "load_stopwords", "tag_vocabulary", "build_vocabulary",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class Weighting(enum.Enum):
@@ -127,8 +124,10 @@ def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
     out: dict[str, FeatureVector] = {}
     for r in resources:
         weights = tag_weights.get(r)
-        if not weights:
-            logger.warning("resource %r has no annotated bookmarks; empty vector", r)
+        if not weights:     # logging is imported only to warn, as it costs start-up time
+            import logging
+            logging.getLogger(__name__).warning(
+                "resource %r has no annotated bookmarks; empty vector", r)
             out[r] = FeatureVector({}, dim)
             continue
         if scheme.selection is Selection.FTA:

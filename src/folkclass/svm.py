@@ -64,6 +64,7 @@ MODEL_FORMAT = "folkclass-model/1"
 MODEL_KINDS = ("linear", "one-vs-one")
 _HINGE_EXPONENT = 1   # the only loss is the plain hinge; echoed for format stability
 _LOCKSTEP_ENTRIES = 1 << 14      # bound on a one-vs-one lockstep block's gathered entries
+_Batch = tuple[np.ndarray, np.ndarray, np.ndarray]   # `_csr`'s starts, cols and vals
 
 
 class _FeatureOutOfWidth(ValueError):
@@ -99,7 +100,7 @@ class TrainConfig:
         return {**asdict(self), "hinge_exponent": _HINGE_EXPONENT}
 
 
-def _csr(fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csr(fvs: Sequence[FeatureVector]) -> _Batch:
     """A batch of vectors as compressed sparse rows: row i's entries are
     cols[starts[i]:starts[i+1]] and vals[starts[i]:starts[i+1]], in entry order."""
     entries = [fv.entries for fv in fvs]
@@ -155,7 +156,7 @@ class LabeledDataset:
 class Model:
     """What both model kinds share.  A kind is a frozen dataclass with
     `categories` and a (rows, d) `weights` matrix with its `biases`, and
-    supplies `margins_batch` and `_scores`."""
+    supplies `_row_margins` and `_scores`."""
 
     def __post_init__(self):
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
@@ -172,7 +173,11 @@ class Model:
 
     def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
         """Category id of every vector, by the kind's decision rule."""
-        return self._scores(fvs)[1]
+        return self._scores(_csr(fvs))[1]
+
+    def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+        """Margins of every vector, shape (n, k)."""
+        return self._row_margins(_csr(fvs))
 
     def margins(self, fv: FeatureVector) -> np.ndarray:
         return self.margins_batch([fv])[0]
@@ -199,15 +204,15 @@ class LinearModel(Model):
         """(d, k): each feature's column of weights, contiguous, as float64."""
         return np.ascontiguousarray(self.weights.T, dtype=float)
 
-    def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
-        """Margins of every vector, shape (n, k).
+    def _row_margins(self, batch: _Batch) -> np.ndarray:
+        """Margins of every row of a `_csr` batch, shape (n, k): the margin pass.
 
         Each row is summed strictly left to right: the bias, then
         w * weights[:, fid] for each entry in the vector's entry order.  The
         rows go longest first, so pass j adds every row's j-th term to a
         prefix of them; a row whose entries have run out is left alone.
         """
-        starts, cols, vals = _csr(fvs)
+        starts, cols, vals = batch
         if cols.size and cols.max() >= self.n_features:
             at = np.argmax(cols >= self.n_features)
             raise _FeatureOutOfWidth(int(np.searchsorted(starts, at, "right") - 1), cols[at],
@@ -222,10 +227,10 @@ class LinearModel(Model):
             sums[:m] += self._columns[cols[at]] * vals[at, None]
         return sums[np.argsort(order)]
 
-    def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-        """`margins_batch`, and the argmax margin of every vector (lowest id on
-        ties), from one margin pass."""
-        margins = self.margins_batch(fvs)
+    def _scores(self, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+        """The margins of a `_csr` batch, and the argmax margin of every row
+        (lowest id on ties), from one margin pass."""
+        margins = self._row_margins(batch)
         return margins, np.argmax(margins, axis=1)
 
 
@@ -262,9 +267,9 @@ class OneVsOneModel(Model):
                                  meta=meta)
                      for (a, b), w, bias in zip(self.pairs, self.weights, self.biases))
 
-    def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
+    def _row_margins(self, batch: _Batch) -> np.ndarray:
         """Per-category summed signed margins over all pairs, (n, k)."""
-        return self._tally(self._pair_rows.margins_batch(fvs))
+        return self._tally(self._pair_rows._row_margins(batch))
 
     def _tally(self, signed: np.ndarray) -> np.ndarray:
         """Per-category sums of (n, P) signed margins, pair by pair in pair order."""
@@ -274,11 +279,11 @@ class OneVsOneModel(Model):
             sums[:, a] -= s
         return sums
 
-    def _scores(self, fvs: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-        """`margins_batch`, and every vector's most pairwise wins (b wins pair
-        (a, b) where its signed margin is > 0, else a), ties by summed signed
-        margins, then lowest id, from one pass over the pairs."""
-        signed = self._pair_rows.margins_batch(fvs)
+    def _scores(self, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+        """The margins of a `_csr` batch, and every row's most pairwise wins (b
+        wins pair (a, b) where its signed margin is > 0, else a), ties by summed
+        signed margins, then lowest id, from one pass over the pairs."""
+        signed = self._pair_rows._row_margins(batch)
         sums = self._tally(signed)
         n = len(signed)
         first, second = np.array(self.pairs, dtype=np.intp).T
@@ -296,14 +301,20 @@ def _check_no_empty_category(dataset: LabeledDataset) -> None:
                 f"category {dataset.categories[cid]!r} has no training instances")
 
 
+def _biased(dataset: LabeledDataset) -> tuple[_Batch, list[tuple[np.ndarray, np.ndarray]]]:
+    """The dataset's rows, bias column d (value 1) last: as one `_csr` batch and as views of it."""
+    ends = dataset.starts[1:]
+    starts = dataset.starts + np.arange(len(dataset) + 1)
+    cols = np.insert(dataset.cols, ends, dataset.n_features)
+    vals = np.insert(dataset.vals, ends, 1.0)
+    bounds = starts.tolist()
+    return (starts, cols, vals), [(cols[lo:hi], vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _sparse_rows(dataset: LabeledDataset) -> tuple[list[tuple[np.ndarray, np.ndarray]],
                                                    np.ndarray]:
     """Per instance, its non-zero columns (bias column d last) and values; and the labels."""
-    ends = dataset.starts[1:]
-    cols = np.insert(dataset.cols, ends, dataset.n_features)
-    vals = np.insert(dataset.vals, ends, 1.0)
-    bounds = (dataset.starts + np.arange(len(dataset) + 1)).tolist()
-    return [(cols[lo:hi], vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:])], dataset.labels
+    return _biased(dataset)[1], dataset.labels
 
 
 def _schedule(n: int, cfg: TrainConfig) -> tuple[np.ndarray, int, np.ndarray]:
@@ -365,7 +376,7 @@ def _tail_average(V: np.ndarray, U: np.ndarray,
     return V
 
 
-def _train_pairs(rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
+def _train_pairs(batch: _Batch, rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
                  pairs: Sequence[tuple[int, int]], dim: int, cfg: TrainConfig) -> np.ndarray:
     """Every pair's binary problem, trained into one row of a (P, dim) matrix.
 
@@ -397,13 +408,13 @@ def _train_pairs(rows: list[tuple[np.ndarray, np.ndarray]], y: np.ndarray,
     shared = max((n for p, n in enumerate(totals) if p != longest), default=0)
     if shared:
         scale = cfg.penalty * np.array([len(m) for m in members], dtype=float)
-        _lockstep(rows, members, signs, plans, scale, shared, V, U)
+        _lockstep(batch, rows, members, signs, plans, scale, shared, V, U)
     _sgd([rows[i] for i in members[longest]], plans[longest], _pair_hinge_grad(signs[longest]),
          cfg, V[longest:longest + 1], U[longest:longest + 1], first=shared)
     return _tail_average(V, U, plans)
 
 
-def _lockstep(rows: list[tuple[np.ndarray, np.ndarray]], members: list[np.ndarray],
+def _lockstep(batch: _Batch, rows: list[tuple[np.ndarray, np.ndarray]], members: list[np.ndarray],
               signs: list[np.ndarray], plans: list[tuple[np.ndarray, int, np.ndarray]],
               scale: np.ndarray, steps: int, V: np.ndarray, U: np.ndarray) -> None:
     """Steps 1..`steps` of `_train_pairs`: in step t, every pair with a t-th step.
@@ -424,10 +435,8 @@ def _lockstep(rows: list[tuple[np.ndarray, np.ndarray]], members: list[np.ndarra
     sum|x| + (t-1)) decides the hinge test as any other sum would.
     """
     P, dim = V.shape
-    lengths = np.array([len(cols) for cols, _ in rows])
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    all_cols = np.concatenate([cols for cols, _ in rows])
-    all_vals = np.concatenate([vals for _, vals in rows])
+    offsets, all_cols, all_vals = batch    # `rows` are its rows
+    lengths = np.diff(offsets)
     # the pair rows, pair by pair, and their entries
     row_inst = np.concatenate(members)
     row_pair = np.repeat(np.arange(P), [len(m) for m in members])
@@ -567,9 +576,8 @@ def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel
     """k(k-1)/2 pairwise problems on pair-restricted instances, trained in one
     lockstep pass into the rows of one pair matrix."""
     _check_no_empty_category(dataset)
-    rows, y = _sparse_rows(dataset)
     pairs = tuple((a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k))
-    W = _train_pairs(rows, y, pairs, dataset.n_features + 1, cfg)
+    W = _train_pairs(*_biased(dataset), dataset.labels, pairs, dataset.n_features + 1, cfg)
     return OneVsOneModel(categories=tuple(dataset.categories), pairs=pairs,
                          weights=W[:, :-1], biases=W[:, -1],
                          meta=_model_meta(cfg, "one-vs-one"))
@@ -616,7 +624,7 @@ def _evaluate(model: Model, test: LabeledDataset) -> tuple[float, np.ndarray]:
     """Accuracy and the (n, k) margins of the test set, from one scoring pass."""
     if len(test) == 0:
         raise ValueError("empty test set")
-    margins, predicted = model._scores([fv for fv, _ in test.instances])
+    margins, predicted = model._scores((test.starts, test.cols, test.vals))
     return int(np.count_nonzero(predicted == test.labels)) / len(test), margins
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from operator import attrgetter
 
 from .errors import DegenerateInputError, UnknownTagError
 from .folksonomy import Folksonomy
@@ -24,7 +25,7 @@ __all__ = [
 ]
 
 
-class InverseFrequencyKind(enum.Enum):
+class InverseFrequencyKind(enum.Enum):   # values: choices.INVERSE_FREQUENCY_KINDS
     IRF = "irf"
     IUF = "iuf"
     IBF = "ibf"
@@ -33,17 +34,23 @@ class InverseFrequencyKind(enum.Enum):
 
 def inverse_frequency(tag: str, f: Folksonomy, kind: InverseFrequencyKind) -> float:
     """Inverse frequency of a tag over the chosen dimension; NONE is 1."""
+    return _inverse_frequencies(f, kind)(tag)
+
+
+def _inverse_frequencies(f: Folksonomy, kind: InverseFrequencyKind) -> Callable[[str], float]:
+    """`inverse_frequency` over `kind` as a function of the tag; reads the total once."""
     if kind is InverseFrequencyKind.NONE:
-        return 1.0
-    try:
-        q = f.tag_frequencies[tag]
-    except KeyError:
-        raise UnknownTagError(tag) from None
-    if kind is InverseFrequencyKind.IRF:
-        return math.log(f.n_resources / q.rf)
-    if kind is InverseFrequencyKind.IUF:
-        return math.log(f.n_users / q.uf)
-    return math.log(f.n_bookmarks / q.bf)
+        return lambda tag: 1.0
+    total, count = {InverseFrequencyKind.IRF: (f.n_resources, attrgetter("rf")),
+                    InverseFrequencyKind.IUF: (f.n_users, attrgetter("uf")),
+                    InverseFrequencyKind.IBF: (f.n_bookmarks, attrgetter("bf"))}[kind]
+
+    def ixf(tag: str) -> float:
+        try:
+            return math.log(total / count(f.tag_frequencies[tag]))
+        except KeyError:
+            raise UnknownTagError(tag) from None
+    return ixf
 
 
 def weight_resource(f: Folksonomy, resource: str,
@@ -93,8 +100,7 @@ def vectorize(f: Folksonomy, member: Member, vocab: Vocabulary,
     """
     if isinstance(member, RepresentationScheme):
         return _vectors(f, member, vocab, resources)
-    ixf = None if member is InverseFrequencyKind.NONE else (
-        lambda tag: inverse_frequency(tag, f, member))
+    ixf = None if member is InverseFrequencyKind.NONE else _inverse_frequencies(f, member)
     return _vectors(f, _WEIGHTED_FTA, vocab, resources, ixf)
 
 
@@ -156,7 +162,7 @@ def correlate_weightings(f: Folksonomy) -> dict:
     if len(tags) < 2:
         raise DegenerateInputError("need at least 2 tags to correlate weightings")
     series = {
-        kind: [inverse_frequency(t, f, kind) for t in tags]
+        kind: list(map(_inverse_frequencies(f, kind), tags))
         for kind in (InverseFrequencyKind.IRF, InverseFrequencyKind.IUF,
                      InverseFrequencyKind.IBF)
     }

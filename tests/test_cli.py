@@ -13,11 +13,11 @@ import folkclass
 from folkclass import svm
 from folkclass.choices import SCHEMES
 from folkclass.cli import build_parser, main
-from folkclass.folksonomy import (Bookmark, bookmark_to_line, ingest_bookmarks,
-                                  parse_category_lines)
+from folkclass.folksonomy import Bookmark, bookmark_to_line, ingest_bookmarks
 from folkclass.generator import RegimeConfig, generate_bookmarks
 from folkclass.harness import (SWEEP_KEYS, ExperimentSpec, format_flat_config,
                                run_experiment)
+from folkclass.labels import parse_category_lines
 from folkclass.vectors import read_vector_lines
 
 from test_harness import labeled_corpus
@@ -337,20 +337,26 @@ class TestEvalScoresOnce:
         model = tmp_path / "m.json"
         assert run(["train", "--vectors", vectors, "--labels", labels_path,
                     "--scheme", scheme, "--epochs", 5, "--model-out", model]) == 0
-        passes = []
-        margins_batch = svm.LinearModel.margins_batch
+        passes, flattened = [], []      # rows per margin pass, vectors per _csr call
+        row_margins, csr = svm.LinearModel._row_margins, svm._csr
 
-        def counted(self, fvs):
-            passes.append(len(fvs))
-            return margins_batch(self, fvs)
+        def counted(self, batch):
+            passes.append(len(batch[0]) - 1)
+            return row_margins(self, batch)
 
-        monkeypatch.setattr(svm.LinearModel, "margins_batch", counted)
+        def counted_csr(fvs):
+            flattened.append(len(fvs))
+            return csr(fvs)
+
+        monkeypatch.setattr(svm.LinearModel, "_row_margins", counted)
+        monkeypatch.setattr(svm, "_csr", counted_csr)
         capsys.readouterr()
         margins = tmp_path / "eval.margins"
         assert run(["eval", "--model", model, "--vectors", vectors,
                     "--labels", labels_path, "--margins-out", margins]) == 0
         report = json.loads(capsys.readouterr().out)
         assert passes == [report["n_instances"]]
+        assert flattened == [report["n_instances"]]   # the dataset's flattening is scored
         assert margins.read_text().count("\n") == report["n_instances"]
 
 
@@ -800,19 +806,50 @@ class TestLineBreaksInsideRecords:
         assert report["distinct_tags"] == 3
 
 
-# Runs `folkclass.cli.main` on argv, then reports whether numpy was loaded.
-_MAIN_THEN_REPORT_NUMPY = """
-import sys
+# Runs `folkclass.cli.main` on argv, then reports its exit code, whether
+# numpy was loaded, and the folkclass modules that were.
+_MAIN_THEN_REPORT_MODULES = """
+import json, sys
 from folkclass.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print("numpy" in sys.modules, code, file=sys.stderr)
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("folkclass."))]),
+      file=sys.stderr)
 """
+
+# The folkclass modules each subcommand's process loads beyond cli, choices
+# and errors, and whether it loads numpy: the README's table.
+_LOADS = {
+    "--help": ((), False),
+    "ingest": (("folksonomy",), False),
+    "stats": (("folksonomy",), False),
+    "behavior": (("folksonomy", "behavior", "vectors"), False),
+    "represent": (("folksonomy", "representation", "porter", "vectors", "weighting"), False),
+    "weight": (("folksonomy", "representation", "porter", "vectors", "weighting"), False),
+    "gen": (("folksonomy", "generator"), True),
+    "train": (("labels", "vectors", "svm"), True),
+    "eval": (("labels", "vectors", "svm", "committees"), True),
+    "committee": (("vectors", "committees"), True),
+}
+
+
+def assert_loads_only_its_modules(argv):
+    src = Path(folkclass.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_REPORT_MODULES, *map(str, argv)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    modules, numpy = _LOADS[argv[0]]
+    expected = sorted(f"folkclass.{m}" for m in ("cli", "choices", "errors", *modules))
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, numpy, expected], proc.stderr
 
 
 class TestNumpyFreeStartup:
+    """Each subcommand's process loads only the modules it computes with."""
+
     @pytest.mark.parametrize("argv", [
         ["ingest"], ["stats", "--novelty", "--allow-synthetic-order"],
         ["behavior", "--measure", "tpp"], ["represent", "--scheme", "weighted-fta"],
@@ -823,9 +860,22 @@ class TestNumpyFreeStartup:
         if argv != ["--help"]:
             argv = argv + ["--bookmarks", str(two_bookmark_file),
                            "-o", str(tmp_path / "out")]
-        src = Path(folkclass.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", _MAIN_THEN_REPORT_NUMPY, *argv],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        assert proc.stderr.split()[-2:] == ["False", "0"], proc.stderr
+        assert_loads_only_its_modules(argv)
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "committee"])
+    def test_numeric_subcommands_load_only_their_modules(self, command, tmp_path):
+        _, _, labels, vectors = write_corpus(tmp_path)
+        model, margins = tmp_path / "model.json", tmp_path / "margins.tsv"
+        assert run(["train", "--vectors", vectors, "--labels", labels, "--epochs", 2,
+                    "--model-out", model, "-o", tmp_path / "train.json"]) == 0
+        assert run(["eval", "--model", model, "--vectors", vectors, "--labels", labels,
+                    "--margins-out", margins, "-o", tmp_path / "eval.json"]) == 0
+        out = ["-o", tmp_path / "out"]
+        assert_loads_only_its_modules({
+            "gen": ["gen", "--regime", "none", "--users", 5, "--resources", 5, *out],
+            "train": ["train", "--vectors", vectors, "--labels", labels, "--epochs", 2,
+                      "--model-out", tmp_path / "m2.json", *out],
+            "eval": ["eval", "--model", model, "--vectors", vectors, "--labels", labels,
+                     "--margins-out", tmp_path / "m2.tsv", *out],
+            "committee": ["committee", margins, margins, *out],
+        }[command])

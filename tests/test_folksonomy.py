@@ -8,12 +8,12 @@ import hypothesis.strategies as st
 
 from folkclass.cli import _read_lines
 from folkclass.errors import MalformedRecordError, SyntheticOrderError, UnknownResourceError
-from folkclass.folksonomy import (Bookmark, CategoryAssignment,
-                                  corpus_statistics, filter_popular,
+from folkclass.folksonomy import (Bookmark, corpus_statistics, filter_popular,
                                   ingest_bookmarks, novelty_ratios,
-                                  parse_bookmark_lines, parse_category_lines,
-                                  prune_small_categories, strip_reading_state,
-                                  bookmark_to_line, label_map)
+                                  parse_bookmark_lines, strip_reading_state,
+                                  bookmark_to_line)
+from folkclass.labels import (CategoryAssignment, label_map, parse_category_lines,
+                              prune_small_categories)
 
 from conftest import brute_force_frequencies, random_bookmarks
 

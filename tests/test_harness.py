@@ -7,7 +7,8 @@ from hypothesis import given
 
 from folkclass import harness
 from folkclass.errors import InsufficientDataError
-from folkclass.folksonomy import Bookmark, CategoryAssignment, ingest_bookmarks
+from folkclass.folksonomy import Bookmark, ingest_bookmarks
+from folkclass.labels import CategoryAssignment
 from folkclass.harness import (ExperimentSpec, hash_split, parse_flat_config,
                                format_flat_config, run_experiment, run_topk_sweep)
 from folkclass.representation import RepresentationScheme

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from folkclass.choices import INVERSE_FREQUENCY_KINDS
 from folkclass.errors import DegenerateInputError, UnknownTagError
-from folkclass.folksonomy import Bookmark, ingest_bookmarks
+from folkclass.folksonomy import Bookmark, Folksonomy, ingest_bookmarks
 from folkclass.generator import RegimeConfig, generate
 from folkclass.representation import (RepresentationScheme, represent_resource,
                                       tag_vocabulary)
 from folkclass.weighting import (InverseFrequencyKind, correlate_weightings,
                                  fractional_ranks, inverse_frequency, member_name,
-                                 parse_member, pearson, spearman, weight_resource)
+                                 parse_member, pearson, spearman, vectorize,
+                                 weight_resource)
 
 from conftest import brute_force_frequencies, random_bookmarks
 
@@ -68,6 +70,21 @@ class TestInverseFrequency:
                 value = inverse_frequency(tag, f, kind)
                 assert value >= 0.0
                 assert (value == 0.0) == (count == total)
+
+    def test_kinds_are_the_parsers_choices(self):
+        assert tuple(k.value for k in InverseFrequencyKind) == INVERSE_FREQUENCY_KINDS
+
+    @pytest.mark.parametrize("kind, total", [(IRF, "n_resources"), (IUF, "n_users"),
+                                             (IBF, "n_bookmarks")], ids=["irf", "iuf", "ibf"])
+    def test_a_vectorize_call_reads_the_total_once(self, kind, total, monkeypatch):
+        f = ingest_bookmarks(random_bookmarks(np.random.default_rng(8), n_bookmarks=400))
+        reads = []
+        derived = getattr(Folksonomy, total)
+        monkeypatch.setattr(Folksonomy, total,
+                            property(lambda self: reads.append(1) or derived.fget(self)))
+        vectors = vectorize(f, kind, tag_vocabulary(f), sorted(f.resource_tag_weights))
+        assert len(reads) == 1 and len(f.tag_frequencies) > 1
+        assert sum(map(len, vectors.values())) > 1
 
 
 class TestWeightResource:
