@@ -202,8 +202,8 @@ def _cmd_eval(args) -> int:
                            f"{max(vectors[r].entries)}, outside the model's "
                            f"{model.n_features} features") from None
     if args.margins_out:
-        _write_tsv(write_margin_lines(MarginTable(tuple(used), model.categories, margins)),
-                   args.margins_out)
+        _write_tsv(write_margin_lines(MarginTable(tuple(used), model.categories,
+                                                  margins.tolist())), args.margins_out)
     _write_json({"meta": {"kind": "eval", "model_meta": model.meta},
                  "n_instances": len(ds), "accuracy": accuracy}, args.output)
     return 0
@@ -223,18 +223,14 @@ def _cmd_committee(args) -> int:
         summed, report = combine(tables, normalize=not args.no_normalize)
     except _MemberMismatch as err:   # combine finds it; name both files
         raise ToolkitError(err.naming(args.margins)) from None
-    predictions = [{"instance": inst, "category": category}
-                   for inst, category in zip(summed.instances,
-                                             predict_committee_batch(summed))]
+    predictions = [{"instance": inst, "category": category} for inst, category
+                   in zip(summed.instances, predict_committee_batch(summed))]
     _write_json({
         "meta": {"kind": "committee", "members": list(args.margins),
                  "normalization": report},
         "predictions": predictions,
-        "scores": [
-            {"instance": inst,
-             "scores": {c: float(s) for c, s in zip(summed.categories, row)}}
-            for inst, row in zip(summed.instances, summed.scores)
-        ],
+        "scores": [{"instance": inst, "scores": dict(zip(summed.categories, row))}
+                   for inst, row in zip(summed.instances, summed.scores)],
     }, args.output)
     return 0
 

@@ -4,15 +4,17 @@ Each member classifier contributes a margin per (instance, category).
 Because members trained on different sources emit margins on different
 scales, each member can first be divided by its single largest margin over
 the whole batch; the committee score is then the elementwise sum and the
-prediction the argmax with lowest-id tie-break.
+prediction the argmax with lowest-id tie-break.  Tables hold plain
+floats, so a committee process never loads numpy.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, repeat
+from math import isfinite
+from operator import add, indexOf, truediv
 
 from .errors import MalformedRecordError
 from .vectors import read_pair_lines, write_pair_lines
@@ -25,20 +27,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarginTable:
-    """Margins of one classifier: one row per instance, one column per category."""
+    """Margins of one classifier: one row per instance, one value per category
+    (tuples of floats when built here; any rows, such as `ndarray.tolist()`)."""
 
     instances: tuple[str, ...]
     categories: tuple[str, ...]
-    scores: np.ndarray
+    scores: Sequence[Sequence[float]]
 
     def __post_init__(self):
-        if self.scores.shape != (len(self.instances), len(self.categories)):
-            raise ValueError(
-                f"scores shape {self.scores.shape} does not match "
-                f"{len(self.instances)} instances x {len(self.categories)} categories")
-        if len(set(self.instances)) < len(self.instances):
+        n, k = len(self.instances), len(self.categories)
+        widths = set(map(len, self.scores)) - {k}
+        if len(self.scores) != n or widths:
+            raise ValueError(f"scores shape {(len(self.scores), min(widths, default=k))} "
+                             f"does not match {n} instances x {k} categories")
+        if len(set(self.instances)) < n:
             raise ValueError("instance ids must be unique")
-        if not np.isfinite(self.scores).all():
+        if not all(map(isfinite, chain.from_iterable(self.scores))):
             raise ValueError("margins must be finite")
 
 
@@ -49,17 +53,17 @@ def normalize_margins(table: MarginTable) -> tuple[MarginTable, dict]:
     instead (flagged in the report); an all-zero table is left unchanged.
     The per-instance argmax is unchanged whenever the global max is positive.
     """
-    global_max = float(table.scores.max()) if table.scores.size else 0.0
-    degenerate = global_max <= 0.0
-    if degenerate:
-        divisor = float(np.abs(table.scores).max()) if table.scores.size else 0.0
-        if divisor == 0.0:
-            divisor = 1.0
-    else:
-        divisor = global_max
-    report = {"divisor": divisor, "degenerate_max": degenerate}
-    return MarginTable(table.instances, table.categories,
-                       table.scores / divisor), report
+    report = _normalization(list(chain.from_iterable(table.scores)))
+    return MarginTable(table.instances, table.categories, tuple(
+        tuple(map(truediv, row, repeat(report["divisor"]))) for row in table.scores)), report
+
+
+def _normalization(margins: list[float]) -> dict:
+    """normalize_margins's report, from all of one table's margins."""
+    global_max = max(margins, default=0.0)
+    if global_max > 0.0:
+        return {"divisor": global_max, "degenerate_max": False}
+    return {"divisor": max(map(abs, margins), default=0.0) or 1.0, "degenerate_max": True}
 
 
 class _MemberMismatch(ValueError):
@@ -87,25 +91,31 @@ def combine(inputs: Sequence[MarginTable], normalize: bool = True,
         raise ValueError("need at least one classifier")
     first = inputs[0]
     report: dict = {"normalized": normalize, "members": []}
-    total = np.zeros_like(first.scores, dtype=float)
+    n, k = len(first.instances), len(first.categories)
+    # n * k margins per member, flat in the first member's instance order,
+    # summed in member order from zeros, so -0.0 in every member sums to 0.0
+    total = [0.0] * (n * k)
     for idx, table in enumerate(inputs):
         if table.categories != first.categories:
             raise _MemberMismatch(idx, f"categories {table.categories}",
                                   str(first.categories))
         if set(table.instances) != set(first.instances):
             raise _MemberMismatch(idx, "instance ids")
+        row_of = dict(zip(table.instances, table.scores))
+        margins = list(chain.from_iterable(map(row_of.__getitem__, first.instances)))
         member_report = {}
         if normalize:
-            table, member_report = normalize_margins(table)
+            member_report = _normalization(margins)
+            margins = map(truediv, margins, repeat(member_report["divisor"]))
         report["members"].append(member_report)
-        row_of = {inst: i for i, inst in enumerate(table.instances)}
-        total += table.scores[[row_of[inst] for inst in first.instances]]
-    return MarginTable(first.instances, first.categories, total), report
+        total = list(map(add, total, margins))
+    rows = tuple(zip(*[iter(total)] * k)) if k else ((),) * n
+    return MarginTable(first.instances, first.categories, rows), report
 
 
-def predict_committee(summed: np.ndarray) -> int:
-    """Winning category index for one instance's summed margins."""
-    return int(np.argmax(summed))
+def predict_committee(summed: Sequence[float]) -> int:
+    """Winning category index for one instance's summed margins; lowest wins a tie."""
+    return indexOf(summed, max(summed))
 
 
 def predict_committee_batch(table: MarginTable) -> list[str]:
@@ -131,4 +141,4 @@ def read_margin_lines(lines: Iterable[str]) -> MarginTable:
         if list(pairs) != categories:
             raise MalformedRecordError(line_number, f"categories differ from {categories}")
     return MarginTable(tuple(inst for _, inst, _ in records), tuple(categories),
-                       np.array([list(p.values()) for _, _, p in records], dtype=float))
+                       tuple(tuple(p.values()) for _, _, p in records))

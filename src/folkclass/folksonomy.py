@@ -11,9 +11,13 @@ Tags are opaque byte strings: no case folding, no stemming, no merging.
 from __future__ import annotations
 
 import json
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import NamedTuple
 
 from .choices import DEFAULT_READING_STATE_TAGS
 from .errors import MalformedRecordError, SyntheticOrderError, UnknownResourceError
@@ -25,8 +29,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Bookmark:
+# Bookmark, TagFrequencies and IngestReport are named tuples: a parse builds a
+# Bookmark per line, and a named tuple costs a fraction of a frozen dataclass
+# to build, and to define at import.
+class Bookmark(NamedTuple):
     """One user's annotation of one resource (the user x resource x tags triple)."""
 
     user: str
@@ -40,8 +46,7 @@ class Bookmark:
         return len(self.tags) > 0
 
 
-@dataclass(frozen=True)
-class TagFrequencies:
+class TagFrequencies(NamedTuple):
     """Occurrence counts of one tag over the three folksonomy dimensions."""
 
     rf: int  # resources the tag appears in
@@ -49,8 +54,7 @@ class TagFrequencies:
     bf: int  # bookmarks containing it
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(NamedTuple):
     total_users: int
     annotated_users: int
     total_resources: int
@@ -62,7 +66,7 @@ class IngestReport:
     duplicate_tags_collapsed: int
 
     def as_dict(self) -> dict:
-        return dict(self.__dict__)
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,10 @@ class Folksonomy:
             raise UnknownResourceError(resource) from None
 
 
+_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+
+
 def parse_bookmark_lines(lines: Iterable[str]) -> Iterator[Bookmark]:
     """Parse line-delimited bookmark records.
 
@@ -121,10 +129,15 @@ def parse_bookmark_lines(lines: Iterable[str]) -> Iterator[Bookmark]:
         line = line.strip()
         if not line:
             continue
+        if line[0] == "\ufeff":    # raw_decode would say "Expecting value"
+            raise MalformedRecordError(
+                line_number, "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))")
         try:
-            record = json.loads(line)
+            record, end = _decode(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecordError(line_number, f"invalid JSON ({exc.msg})") from exc
+        if end < len(line):
+            raise MalformedRecordError(line_number, "invalid JSON (Extra data)")
         if not isinstance(record, dict):
             raise MalformedRecordError(line_number, "record is not an object")
         try:
@@ -135,19 +148,19 @@ def parse_bookmark_lines(lines: Iterable[str]) -> Iterator[Bookmark]:
             raise MalformedRecordError(line_number, f"missing field {exc}") from exc
         if not isinstance(user, str) or not isinstance(resource, str):
             raise MalformedRecordError(line_number, "user and resource must be strings")
-        if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        if not isinstance(tags, list) or not all(map(isinstance, tags, repeat(str))):
             raise MalformedRecordError(line_number, "tags must be an array of strings")
         order = record.get("order")
         if order is not None and (not isinstance(order, int) or order < 0):
             raise MalformedRecordError(line_number, "order must be a non-negative integer")
-        yield Bookmark(user=user, resource=resource, tags=tuple(tags), order=order)
+        yield Bookmark(user, resource, tuple(tags), order)
 
 
 def bookmark_to_line(b: Bookmark) -> str:
     record: dict = {"user": b.user, "resource": b.resource, "tags": list(b.tags)}
     if b.order is not None and not b.synthetic_order:
         record["order"] = b.order
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    return _encode(record)
 
 
 def strip_reading_state(stream: Iterable[Bookmark],
@@ -174,17 +187,13 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
     tags within one bookmark collapse to a single occurrence (w_t counts
     annotating users, not repetitions).  Bookmarks without an explicit order
     get one assigned by stream position within their resource and are
-    flagged as synthetically ordered.  A kept bookmark is final, so it is
-    indexed as soon as it is kept.
+    flagged as synthetically ordered.  A bookmark is rebuilt only to collapse
+    its tags or take that order; the tags are counted over the kept ones.
     """
     kept: list[Bookmark] = []
     users_of: dict[str, set[str]] = {}   # resource -> users of its kept bookmarks
-    resource_tag_weights: dict[str, dict[str, int]] = {}
-    user_bookmarks: dict[str, list[Bookmark]] = {}
-    resource_bookmarks: dict[str, list[Bookmark]] = {}
-    tag_rf: dict[str, int] = {}
-    tag_uf: dict[str, set[str]] = {}
-    tag_bf: dict[str, int] = {}
+    user_bookmarks: defaultdict[str, list[Bookmark]] = defaultdict(list)
+    resource_bookmarks: defaultdict[str, list[Bookmark]] = defaultdict(list)
     duplicate_pairs = 0
     duplicate_tags = 0
 
@@ -199,31 +208,27 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
         duplicate_tags += len(b.tags) - len(tags)
         if b.order is None:
             b = Bookmark(b.user, b.resource, tags, arrival, True)
-        else:
+        elif len(tags) < len(b.tags):
             b = Bookmark(b.user, b.resource, tags, b.order, b.synthetic_order)
         kept.append(b)
-        if not tags:
-            continue
-        user_bookmarks.setdefault(b.user, []).append(b)
-        resource_bookmarks.setdefault(b.resource, []).append(b)
-        weights = resource_tag_weights.setdefault(b.resource, {})
-        for tag in tags:
-            w = weights.get(tag, 0)
-            weights[tag] = w + 1
-            if w == 0:     # the tag's first bookmark in this resource
-                tag_rf[tag] = tag_rf.get(tag, 0) + 1
-            tag_uf.setdefault(tag, set()).add(b.user)
-            tag_bf[tag] = tag_bf.get(tag, 0) + 1
+        if tags:
+            user_bookmarks[b.user].append(b)
+            resource_bookmarks[b.resource].append(b)
 
     if duplicate_pairs:     # logging is imported only to warn, as it costs start-up time
         import logging
         logging.getLogger(__name__).warning(
             "dropped %d duplicate (user, resource) bookmarks", duplicate_pairs)
 
-    frequencies = {
-        tag: TagFrequencies(rf=tag_rf[tag], uf=len(tag_uf[tag]), bf=bf)
-        for tag, bf in tag_bf.items()
-    }
+    tags_of = attrgetter("tags")
+    resource_tag_weights = {r: dict(Counter(chain.from_iterable(map(tags_of, bs))))
+                            for r, bs in resource_bookmarks.items()}
+    tag_rf = Counter(chain.from_iterable(resource_tag_weights.values()))
+    tag_uf = Counter(chain.from_iterable(set(chain.from_iterable(map(tags_of, bs)))
+                                         for bs in user_bookmarks.values()))
+    # in the order of each tag's first bookmark, as the stream gave them
+    frequencies = {tag: TagFrequencies(tag_rf[tag], tag_uf[tag], bf)
+                   for tag, bf in Counter(chain.from_iterable(map(tags_of, kept))).items()}
     report = IngestReport(
         total_users=len(set().union(*users_of.values())),
         annotated_users=len(user_bookmarks),

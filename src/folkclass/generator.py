@@ -21,7 +21,8 @@ costs a binary search per draw instead of a pass over the pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +69,17 @@ class RegimeConfig:
 def generate_bookmarks(cfg: RegimeConfig) -> list[Bookmark]:
     """Deterministic bookmark stream for the configured regime and seed."""
     rng = np.random.default_rng(cfg.seed)
+    random, integers = rng.random, rng.integers
     pool = [f"tag{i:05d}" for i in range(cfg.pool_size)]
     ranks = np.arange(1, cfg.pool_size + 1, dtype=float)
     preference = ranks ** -cfg.zipf_exponent
     preference /= preference.sum()
     # Built as Generator.choice(p=preference) builds it, so draws match choice's.
     cdf = preference.cumsum()
-    cdf /= cdf[-1]
+    cdf = (cdf / cdf[-1]).tolist()
+    regime, acceptance = cfg.regime, cfg.acceptance
+    lo, hi = cfg.bookmarks_per_user
+    lo_t, hi_t = cfg.tags_per_bookmark
 
     resource_tags: dict[str, list[str]] = {}     # multiset of tags per resource
     resource_next_order: dict[str, int] = {}
@@ -84,16 +89,13 @@ def generate_bookmarks(cfg: RegimeConfig) -> list[Bookmark]:
         user = f"user{u:05d}"
         permutation = rng.permutation(cfg.pool_size)
         personomy: list[str] = []
-        lo, hi = cfg.bookmarks_per_user
-        n_marks = min(int(rng.integers(lo, hi + 1)), cfg.n_resources)
-        resources = rng.choice(cfg.n_resources, size=n_marks, replace=False)
-        for r in resources:
-            resource = f"res{int(r):05d}"
-            lo_t, hi_t = cfg.tags_per_bookmark
-            n_tags = int(rng.integers(lo_t, hi_t + 1))
-            if cfg.regime == "resource-based":
+        n_marks = min(int(integers(lo, hi + 1)), cfg.n_resources)
+        for r in rng.choice(cfg.n_resources, size=n_marks, replace=False).tolist():
+            resource = f"res{r:05d}"
+            n_tags = int(integers(lo_t, hi_t + 1))
+            if regime == "resource-based":
                 suggestions = resource_tags.get(resource, [])
-            elif cfg.regime == "personomy-based":
+            elif regime == "personomy-based":
                 suggestions = personomy
             else:
                 suggestions = []
@@ -101,18 +103,15 @@ def generate_bookmarks(cfg: RegimeConfig) -> list[Bookmark]:
             attempts = 0
             while len(tags) < n_tags and attempts < _MAX_DRAWS_PER_TAG * n_tags:
                 attempts += 1
-                accepted = rng.random() < cfg.acceptance and len(suggestions) > 0
-                if accepted:
-                    tag = suggestions[int(rng.integers(len(suggestions)))]
+                if random() < acceptance and suggestions:
+                    tag = suggestions[int(integers(len(suggestions)))]
                 else:
-                    rank = int(cdf.searchsorted(rng.random(), side="right"))
-                    tag = pool[permutation[rank]]
+                    tag = pool[permutation[bisect_right(cdf, random())]]
                 if tag not in tags:
                     tags.append(tag)
             order = resource_next_order.get(resource, 0)
             resource_next_order[resource] = order + 1
-            bookmarks.append(Bookmark(user=user, resource=resource,
-                                      tags=tuple(tags), order=order))
+            bookmarks.append(Bookmark(user, resource, tuple(tags), order))
             resource_tags.setdefault(resource, []).extend(tags)
             personomy.extend(tags)
     return bookmarks

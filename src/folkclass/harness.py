@@ -134,7 +134,7 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             if spec.committee:
                 tables = [MarginTable(
                     tuple(test_pool), tuple(categories),
-                    model.margins_batch([vs[r] for r in test_pool]))
+                    model.margins_batch([vs[r] for r in test_pool]).tolist())
                     for model, vs in fitted]
                 summed, _ = combine(tables, normalize=True)
                 predicted = [cat_id[c] for c in predict_committee_batch(summed)]

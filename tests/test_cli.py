@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -138,6 +139,47 @@ class TestCommitteeCommand:
         assert run(["committee", a, b, c]) == 1
         err = capsys.readouterr().err
         assert err == f"folkclass: error: {c}: {reason.format(first=a)}\n"
+
+
+# Margin files whose sums round differently in another order; "b" has no
+# positive margin and lists the instances in another order, "zero" holds
+# only zeros, two of them negative (as is b's y of i2, so only a sum that
+# starts from +0.0 gives 0.0 there), and "c" ties two categories of i1.
+_MEMBER_MARGINS = {
+    "a": "i0\tx:0.1 y:0.7 z:-0.3\ni1\tx:0.001 y:0.2 z:0.30000000000000004\n"
+         "i2\tx:-2.5 y:0.0 z:3.3\n",
+    "b": "i2\tx:-0.1 y:-0.0 z:-0.7\ni0\tx:-1.5 y:-0.25 z:-0.2\n"
+         "i1\tx:-0.3 y:-0.6 z:-0.9\n",
+    "zero": "i0\tx:0.0 y:-0.0 z:0.0\ni1\tx:0.0 y:0.0 z:0.0\ni2\tx:0.0 y:-0.0 z:0.0\n",
+    "c": "i1\tx:1.0 y:1.0 z:0.5\ni0\tx:0.2 y:0.1 z:0.3\ni2\tx:1e-300 y:3.0 z:7.5\n",
+}
+
+
+class TestCommitteeOutputs:
+    """Committee reports the golden chain does not reach, pinned by digest."""
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["a", "b"],
+         "1ad097ccbcf64f897bef4fba83b63f85f13c376542aa5320a85f7ee4f10fb0b2"),
+        (["a", "b", "--no-normalize"],
+         "ad11d6ac3a4565bce5d139c2a7f10b386aa1ffd7321146a19b35742a5d88b90e"),
+        (["zero", "a"],
+         "a63a33d8d9f3f54dbe5d601d0681ca4658bd268244b8fdd25af2e7160be938ff"),
+        (["zero", "b", "--no-normalize"],
+         "99e91f4cc1be287bfa84852a6afd08b842dc16f1bcf3212ce8ec336aff31b02e"),
+        (["a", "b", "c"],
+         "06452fd3b74fe8198c383d992047cc8ee7eb7c97d088c27723a9cac545af5475"),
+        (["b", "c", "a", "--no-normalize"],
+         "192105b4e05a450e2aa316c0d8e5711dc36eb7c5a4a44b89a68e4742f03cb6b5"),
+        (["c", "zero", "--no-normalize"],
+         "f2489235fbefadeff209e507ef1397bcfe032386743cb0da92bf8064f110b5aa")],
+        ids=["degenerate", "raw", "all-zero", "all-zero-raw", "three", "three-raw", "tie"])
+    def test_report_digest(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)     # the report echoes the member paths
+        for name, text in _MEMBER_MARGINS.items():
+            Path(name).write_text(text)
+        assert run(["committee", *argv, "-o", "committee.json"]) == 0
+        assert hashlib.sha256(Path("committee.json").read_bytes()).hexdigest() == digest
 
 
 class TestGen:
@@ -450,6 +492,29 @@ class TestMalformedFiles:
         assert run(argv + ["--vectors", vectors, "--labels", labels]) == 1
         assert capsys.readouterr().err == (
             f"folkclass: error: no overlap between vectors {vectors} and labels {labels}\n")
+
+    @pytest.mark.parametrize("line,reason", [
+        ('{"user": "u", "resource": "r", "tags": []} x', "invalid JSON (Extra data)"),
+        ('\ufeff{"user": "u", "resource": "r", "tags": []}',
+         "invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        ('{"user": "u", "resource":', "invalid JSON (Expecting value)"),
+        ('["u", "r", []]', "record is not an object"),
+        ('{"user": "u", "resource": "r"}', "missing field 'tags'"),
+        ('{"user": 7, "resource": "r", "tags": []}', "user and resource must be strings"),
+        ('{"user": "u", "resource": "r", "tags": "a"}', "tags must be an array of strings"),
+        ('{"user": "u", "resource": "r", "tags": [], "order": -1}',
+         "order must be a non-negative integer")],
+        ids=["trailing-data", "bom", "truncated", "non-object", "missing-field",
+             "non-string-user", "non-list-tags", "negative-order"])
+    @pytest.mark.parametrize("line_number", [1, 3])
+    def test_malformed_bookmark_line_message(self, tmp_path, capsys, line, reason,
+                                             line_number):
+        good = '{"user": "u0", "resource": "r0", "tags": ["a"]}\n'
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(good * (line_number - 1) + line + "\n" + good, encoding="utf-8")
+        assert run(["ingest", "--bookmarks", bad]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: {bad}: line {line_number}: {reason}\n")
 
     def test_bad_margin_file_names_line(self, tmp_path, capsys):
         good = tmp_path / "a.margins"
@@ -829,10 +894,10 @@ _LOADS = {
     "behavior": (("folksonomy", "behavior", "vectors"), False),
     "represent": (("folksonomy", "representation", "porter", "vectors", "weighting"), False),
     "weight": (("folksonomy", "representation", "porter", "vectors", "weighting"), False),
+    "committee": (("vectors", "committees"), False),
     "gen": (("folksonomy", "generator"), True),
     "train": (("labels", "vectors", "svm"), True),
     "eval": (("labels", "vectors", "svm", "committees"), True),
-    "committee": (("vectors", "committees"), True),
 }
 
 

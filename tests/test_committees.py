@@ -11,52 +11,70 @@ from folkclass.committees import (MarginTable, combine, normalize_margins,
 
 
 def table(scores, instances=None, categories=None):
-    scores = np.asarray(scores, dtype=float)
-    n, k = scores.shape
+    n, k = len(scores), len(scores[0])
     return MarginTable(
         instances=tuple(instances or (f"i{j}" for j in range(n))),
         categories=tuple(categories or (f"c{m}" for m in range(k))),
-        scores=scores)
+        scores=tuple(map(tuple, scores)))
 
 
 WORKED_A = [[1.2, 1.1, 0.6]]
 WORKED_B = [[0.5, 1.0, 1.2]]
 
 
+class TestTableChecks:
+    @pytest.mark.parametrize("scores,message", [
+        ([[1.0, 2.0, 3.0]], r"scores shape \(1, 3\) does not match 1 instances x 2 categories"),
+        ([[1.0, 2.0], [3.0, 4.0]],
+         r"scores shape \(2, 2\) does not match 1 instances x 2 categories"),
+        ([[1.0, float("inf")]], "margins must be finite"),
+        ([[float("nan"), 0.0]], "margins must be finite")],
+        ids=["wide-row", "extra-row", "inf", "nan"])
+    def test_rejected_with_message(self, scores, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarginTable(("i0",), ("a", "b"), np.array(scores))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarginTable(("i0",), ("a", "b"), scores)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match=r"^scores shape \(2, 1\) does not match"):
+            MarginTable(("i0", "i1"), ("a", "b"), [[1.0, 2.0], [3.0]])
+
+
 class TestNormalize:
     def test_division_by_global_max(self):
         normalized, report = normalize_margins(table([[2.0, 4.0]]))
-        assert normalized.scores.tolist() == [[0.5, 1.0]]
+        assert normalized.scores == ((0.5, 1.0),)
         assert report == {"divisor": 4.0, "degenerate_max": False}
 
     def test_all_equal_to_max(self):
         normalized, _ = normalize_margins(table([[3.0, 3.0], [3.0, 3.0]]))
-        assert (normalized.scores == 1.0).all()
+        assert normalized.scores == ((1.0, 1.0), (1.0, 1.0))
 
     def test_idempotent(self):
         once, _ = normalize_margins(table([[2.0, 4.0], [1.0, 0.5]]))
         twice, report = normalize_margins(once)
-        assert np.array_equal(once.scores, twice.scores)
+        assert once.scores == twice.scores
         assert report["divisor"] == 1.0
 
     def test_degenerate_nonpositive_max_uses_absolute(self):
         normalized, report = normalize_margins(table([[-2.0, -4.0]]))
         assert report["degenerate_max"] is True
         assert report["divisor"] == 4.0
-        assert normalized.scores.tolist() == [[-0.5, -1.0]]
+        assert normalized.scores == ((-0.5, -1.0),)
 
     def test_all_zero_left_unchanged(self):
         normalized, report = normalize_margins(table([[0.0, 0.0]]))
         assert report["degenerate_max"] is True
-        assert normalized.scores.tolist() == [[0.0, 0.0]]
+        assert normalized.scores == ((0.0, 0.0),)
 
     def test_argmax_preserved_when_max_positive(self):
         rng = np.random.default_rng(5)
-        raw = table(rng.normal(size=(20, 4)) + 1.0)
-        if raw.scores.max() > 0:
+        raw = table((rng.normal(size=(20, 4)) + 1.0).tolist())
+        if max(map(max, raw.scores)) > 0:
             normalized, _ = normalize_margins(raw)
-            assert (raw.scores.argmax(axis=1)
-                    == normalized.scores.argmax(axis=1)).all()
+            assert (np.argmax(raw.scores, axis=1)
+                    == np.argmax(normalized.scores, axis=1)).all()
 
 
 class TestCombine:
@@ -71,19 +89,19 @@ class TestCombine:
     def test_single_classifier_identity(self):
         t = table([[1.0, 2.0], [3.0, 0.5]])
         summed, _ = combine([t], normalize=False)
-        assert np.array_equal(summed.scores, t.scores)
+        assert summed.scores == t.scores
 
     def test_zero_margin_member_changes_nothing(self):
         t = table([[1.0, 2.0]])
         zeros = table([[0.0, 0.0]])
         summed, _ = combine([t, zeros], normalize=False)
-        assert np.array_equal(summed.scores, t.scores)
+        assert summed.scores == t.scores
 
     def test_member_permutation_invariance(self):
         a, b = table([[1.0, 0.2]]), table([[0.1, 2.0]])
         ab, _ = combine([a, b], normalize=False)
         ba, _ = combine([b, a], normalize=False)
-        assert np.array_equal(ab.scores, ba.scores)
+        assert ab.scores == ba.scores
 
     def test_mismatched_categories_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +118,7 @@ class TestCombine:
         b = table([[0.0, 1.0], [1.0, 0.0]], instances=("y", "x"))
         summed, _ = combine([a, b], normalize=False)
         # b's rows must be re-ordered to a's (x, y) before summation
-        assert summed.scores.tolist() == [[2.0, 0.0], [0.0, 2.0]]
+        assert summed.scores == ((2.0, 0.0), (0.0, 2.0))
 
     def test_empty_committee_rejected(self):
         with pytest.raises(ValueError):
@@ -108,14 +126,44 @@ class TestCombine:
 
     def test_normalized_single_member_keeps_predictions(self):
         rng = np.random.default_rng(3)
-        t = table(rng.normal(size=(30, 5)) + 2.0)
+        t = table((rng.normal(size=(30, 5)) + 2.0).tolist())
         summed, _ = combine([t], normalize=True)
-        assert (summed.scores.argmax(axis=1) == t.scores.argmax(axis=1)).all()
+        assert (np.argmax(summed.scores, axis=1) == np.argmax(t.scores, axis=1)).all()
+
+
+def numpy_committee(arrays, orders, normalize):
+    """The committee sum as a numpy accumulator adds it: every member, normalized
+    by its global max (else its largest |margin|, else 1), in member order.
+    Member t's row r is instance orders[t][r]; the sum's row j is instance j."""
+    total = np.zeros_like(arrays[0])
+    for scores, order in zip(arrays, orders):
+        if normalize:
+            divisor = scores.max() if scores.max() > 0 else np.abs(scores).max() or 1.0
+            scores = scores / divisor
+        total += scores[np.argsort(order)]
+    return total
+
+
+class TestSumsAsNumpy:
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.booleans(),
+           st.data())
+    def test_bit_for_bit(self, n, k, members, normalize, data):
+        """Rows given in any instance order sum to numpy's bytes, -0.0 included."""
+        margins = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
+        arrays = [data.draw(npst.arrays(np.float64, (n, k), elements=margins))
+                  for _ in range(members)]
+        orders = [data.draw(st.permutations(range(n))) for _ in range(members)]
+        tables = [MarginTable(tuple(f"i{j}" for j in order), tuple(f"c{m}" for m in range(k)),
+                              scores.tolist()) for scores, order in zip(arrays, orders)]
+        summed, _ = combine(tables, normalize=normalize)
+        expected = numpy_committee(arrays, orders, normalize)[list(orders[0])]
+        assert summed.instances == tables[0].instances
+        assert np.array(summed.scores).tobytes() == expected.tobytes()
 
 
 class TestPredict:
     def test_tie_goes_to_lowest_id(self):
-        assert predict_committee(np.array([1.0, 1.0, 1.0])) == 0
+        assert predict_committee((1.0, 1.0, 1.0)) == 0
 
     def test_batch_returns_labels(self):
         t = table([[0.0, 5.0], [5.0, 0.0]])
@@ -124,7 +172,7 @@ class TestPredict:
     @given(npst.arrays(np.float64, (4, 3),
                        elements=st.floats(-100, 100)))
     def test_member_order_never_changes_prediction(self, scores):
-        a, b = table(scores), table(scores * 0.5 + 1.0)
+        a, b = table(scores.tolist()), table((scores * 0.5 + 1.0).tolist())
         ab, _ = combine([a, b], normalize=False)
         ba, _ = combine([b, a], normalize=False)
         assert predict_committee_batch(ab) == predict_committee_batch(ba)
@@ -136,7 +184,7 @@ class TestMarginLines:
         back = read_margin_lines(list(write_margin_lines(t)))
         assert back.instances == t.instances
         assert back.categories == t.categories
-        assert np.array_equal(back.scores, t.scores)
+        assert back.scores == t.scores
 
     def test_inconsistent_category_sets_rejected(self):
         lines = ["i0\ta:1.0 b:2.0", "i1\ta:1.0 c:2.0"]
@@ -162,16 +210,16 @@ class TestMarginLineCodec:
         scores = data.draw(npst.arrays(
             float, (len(instances), len(categories)),
             elements=st.floats(allow_nan=False, allow_infinity=False)))
-        t = MarginTable(tuple(instances), tuple(categories), scores)
+        t = MarginTable(tuple(instances), tuple(categories), tuple(map(tuple, scores.tolist())))
         back = read_margin_lines(list(write_margin_lines(t)))
         assert back.instances == t.instances
         assert back.categories == t.categories
-        assert np.array_equal(back.scores, t.scores)
+        assert back.scores == t.scores
 
     def test_labels_split_on_last_colon(self):
         back = read_margin_lines(["i0\tweb:design:1.5 books:-2.0"])
         assert back.categories == ("web:design", "books")
-        assert back.scores.tolist() == [[1.5, -2.0]]
+        assert back.scores == ((1.5, -2.0),)
 
     def test_changed_category_set_names_line(self):
         lines = ["i0\ta:1.0 b:2.0", "i1\ta:1.0 c:2.0"]

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -119,8 +121,9 @@ class TestPreferenceDraw:
         preference /= preference.sum()
         cdf = preference.cumsum()
         cdf /= cdf[-1]
+        cdf = cdf.tolist()
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(40):
-            searched = int(cdf.searchsorted(rng_a.random(), side="right"))
+            searched = bisect_right(cdf, rng_a.random())
             assert searched == int(rng_b.choice(pool_size, p=preference))
         assert rng_a.random() == rng_b.random()
