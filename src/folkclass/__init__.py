@@ -42,8 +42,8 @@ _EXPORTS = {
 
 # Every submodule, reachable as an attribute of the package.
 _SUBMODULES = ("behavior", "choices", "cli", "committees", "errors", "folksonomy",
-               "generator", "harness", "labels", "porter", "representation", "svm",
-               "vectors", "weighting")
+               "generator", "harness", "labels", "porter", "records", "representation",
+               "svm", "vectors", "weighting")
 
 __all__ = list(_EXPORTS)
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .choices import MEASURES
 from .errors import DegenerateInputError
@@ -39,8 +39,7 @@ __all__ = [
 RANKING_DIRECTION = "ascending: low verbosity/diversity ranks first (Categorizer end)"
 
 
-@dataclass(frozen=True)
-class UserProfile:
+class UserProfile(NamedTuple):
     user: str
     tpp: float
     trr: float
@@ -55,8 +54,7 @@ class UserProfile:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class UserSplit:
+class UserSplit(NamedTuple):
     measure: str
     percent: float
     categorizers: tuple[str, ...]
@@ -152,8 +150,7 @@ def split_by_assignments(ranked: Sequence[UserProfile], percent: float,
                      describer_fraction=desc_fraction)
 
 
-@dataclass(frozen=True)
-class DescriptivenessResult:
+class DescriptivenessResult(NamedTuple):
     similarity: float
     n_resources: int
     zero_vector_resources: tuple[str, ...]

@@ -8,7 +8,6 @@ error (diagnostic on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections.abc import Iterable, Sequence
@@ -47,8 +46,9 @@ def _reading(path: str):
 
 
 def _config(cls, args):
-    """`cls` from the options the user set; an unset option keeps its default."""
-    fields = {f.name for f in dataclasses.fields(cls)}
+    """`cls` from the options the user set; an unset option keeps its default.
+    A dataclass and a `records.Record` both list their fields in `__match_args__`."""
+    fields = cls.__match_args__
     return cls(**{name: tuple(value) if isinstance(value, list) else value
                   for name, value in vars(args).items() if name in fields})
 
@@ -274,7 +274,8 @@ def _cmd_sweep(args) -> int:
     with _reading(args.config):
         spec, k_values = sweep_from_config(parse_flat_config(_read_lines(args.config)))
     if "seed" in args:
-        spec = dataclasses.replace(spec, base_seed=args.seed)
+        from dataclasses import replace
+        spec = replace(spec, base_seed=args.seed)
     f = _load_folksonomy(args)
     with _reading(args.labels):
         labels = list(parse_category_lines(_read_lines(args.labels)))
@@ -288,8 +289,8 @@ def _cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     # Shared options are defined once, as parents.  An option feeding a config
-    # dataclass defaults to SUPPRESS: left unset, it is absent and the
-    # dataclass default applies, and a --seed before the subcommand survives.
+    # class defaults to SUPPRESS: left unset, it is absent and the class's
+    # default applies, and a --seed before the subcommand survives.
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                       help="seed override, before or after the subcommand")

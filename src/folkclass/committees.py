@@ -11,12 +11,12 @@ floats, so a committee process never loads numpy.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import isfinite
 from operator import add, indexOf, truediv
 
 from .errors import MalformedRecordError
+from .records import Record
 from .vectors import read_pair_lines, write_pair_lines
 
 __all__ = [
@@ -25,25 +25,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MarginTable:
+class MarginTable(Record):
     """Margins of one classifier: one row per instance, one value per category
     (tuples of floats when built here; any rows, such as `ndarray.tolist()`)."""
 
-    instances: tuple[str, ...]
-    categories: tuple[str, ...]
-    scores: Sequence[Sequence[float]]
+    __slots__ = ("instances", "categories", "scores")
 
-    def __post_init__(self):
-        n, k = len(self.instances), len(self.categories)
-        widths = set(map(len, self.scores)) - {k}
-        if len(self.scores) != n or widths:
-            raise ValueError(f"scores shape {(len(self.scores), min(widths, default=k))} "
+    def __init__(self, instances: tuple[str, ...], categories: tuple[str, ...],
+                 scores: Sequence[Sequence[float]]):
+        n, k = len(instances), len(categories)
+        widths = set(map(len, scores)) - {k}
+        if len(scores) != n or widths:
+            raise ValueError(f"scores shape {(len(scores), min(widths, default=k))} "
                              f"does not match {n} instances x {k} categories")
-        if len(set(self.instances)) < n:
+        if len(set(instances)) < n:
             raise ValueError("instance ids must be unique")
-        if not all(map(isfinite, chain.from_iterable(self.scores))):
+        if not all(map(isfinite, chain.from_iterable(scores))):
             raise ValueError("margins must be finite")
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "categories", categories)
+        object.__setattr__(self, "scores", scores)
 
 
 def normalize_margins(table: MarginTable) -> tuple[MarginTable, dict]:

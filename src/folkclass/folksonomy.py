@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -29,9 +27,9 @@ __all__ = [
 ]
 
 
-# Bookmark, TagFrequencies and IngestReport are named tuples: a parse builds a
-# Bookmark per line, and a named tuple costs a fraction of a frozen dataclass
-# to build, and to define at import.
+# The records here are named tuples: a parse builds a Bookmark per line, and a
+# named tuple costs a fraction of a frozen dataclass to build, and to define
+# at import.
 class Bookmark(NamedTuple):
     """One user's annotation of one resource (the user x resource x tags triple)."""
 
@@ -69,17 +67,17 @@ class IngestReport(NamedTuple):
         return self._asdict()
 
 
-@dataclass(frozen=True)
-class Folksonomy:
+class Folksonomy(NamedTuple):
     """Immutable bookmark index.  Build with ingest_bookmarks; share freely.
 
     Stores the kept bookmarks, the index over them (tag weights and
     frequencies, resource ids, annotated bookmarks by user and by resource)
     and the ingest report.  Each count has one owner: `n_resources`,
     `n_users` and `n_bookmarks` read the report, and `resource_annotators`
-    counts `resource_bookmarks`.  All totals and frequencies count
-    annotated entities only: a bookmark with no tags is retained in
-    `bookmarks` but contributes nothing to the statistics.
+    is counted from `resource_bookmarks` when the index is built.  All
+    totals and frequencies count annotated entities only: a bookmark with
+    no tags is retained in `bookmarks` but contributes nothing to the
+    statistics.
     """
 
     bookmarks: tuple[Bookmark, ...]
@@ -87,8 +85,9 @@ class Folksonomy:
     tag_frequencies: dict[str, TagFrequencies]
     report: IngestReport
     all_resource_ids: frozenset[str]
-    user_bookmarks: dict[str, tuple[Bookmark, ...]] = field(repr=False)
-    resource_bookmarks: dict[str, tuple[Bookmark, ...]] = field(repr=False)
+    user_bookmarks: dict[str, tuple[Bookmark, ...]]
+    resource_bookmarks: dict[str, tuple[Bookmark, ...]]
+    resource_annotators: dict[str, int]   # resource -> p, its annotated bookmarks
 
     @property
     def n_resources(self) -> int:   # |R|, annotated
@@ -101,11 +100,6 @@ class Folksonomy:
     @property
     def n_bookmarks(self) -> int:   # |B|, annotated
         return self.report.annotated_bookmarks
-
-    @cached_property
-    def resource_annotators(self) -> dict[str, int]:
-        """Resource -> p, its number of annotated bookmarks."""
-        return {r: len(bs) for r, bs in self.resource_bookmarks.items()}
 
     def tags_of(self, resource: str) -> dict[str, int]:
         try:
@@ -248,6 +242,7 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
         all_resource_ids=frozenset(users_of),
         user_bookmarks={u: tuple(bs) for u, bs in user_bookmarks.items()},
         resource_bookmarks={r: tuple(bs) for r, bs in resource_bookmarks.items()},
+        resource_annotators={r: len(bs) for r, bs in resource_bookmarks.items()},
     )
 
 

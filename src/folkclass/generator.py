@@ -22,31 +22,30 @@ costs a binary search per draw instead of a pass over the pool.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from .choices import REGIMES
 from .folksonomy import Bookmark, Folksonomy, ingest_bookmarks
+from .records import Record
 
 __all__ = ["REGIMES", "RegimeConfig", "generate_bookmarks", "generate"]
 
 _MAX_DRAWS_PER_TAG = 100
 
 
-@dataclass(frozen=True)
-class RegimeConfig:
-    regime: str
-    n_users: int = 50
-    n_resources: int = 25
-    bookmarks_per_user: tuple[int, int] = (5, 10)
-    tags_per_bookmark: tuple[int, int] = (1, 5)
-    pool_size: int = 200
-    acceptance: float = 0.5
-    zipf_exponent: float = 1.0
-    seed: int = 0
+class RegimeConfig(Record):
+    __slots__ = ("regime", "n_users", "n_resources", "bookmarks_per_user",
+                 "tags_per_bookmark", "pool_size", "acceptance", "zipf_exponent", "seed")
 
-    def __post_init__(self):
+    def __init__(self, regime: str, n_users: int = 50, n_resources: int = 25,
+                 bookmarks_per_user: tuple[int, int] = (5, 10),
+                 tags_per_bookmark: tuple[int, int] = (1, 5), pool_size: int = 200,
+                 acceptance: float = 0.5, zipf_exponent: float = 1.0, seed: int = 0):
+        for name, value in zip(self.__slots__, (
+                regime, n_users, n_resources, bookmarks_per_user, tags_per_bookmark,
+                pool_size, acceptance, zipf_exponent, seed)):
+            object.__setattr__(self, name, value)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         for name in ("n_users", "n_resources", "pool_size"):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .choices import LEVELS
 from .errors import MalformedRecordError
@@ -21,8 +21,7 @@ def check_level(level: str) -> None:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
 
 
-@dataclass(frozen=True)
-class CategoryAssignment:
+class CategoryAssignment(NamedTuple):
     """Expert label for a resource: top-level category and optional second level."""
 
     resource: str

@@ -12,12 +12,12 @@ from __future__ import annotations
 import enum
 import re
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
-from . import porter
 from .errors import UnknownResourceError
 from .folksonomy import Folksonomy
+from .records import Record
 from .vectors import FeatureVector, Vocabulary, build_vocabulary
 
 __all__ = [
@@ -39,19 +39,19 @@ class Selection(enum.Enum):
     FTA = "fta"
 
 
-@dataclass(frozen=True)
-class RepresentationScheme:
+class RepresentationScheme(Record):
     """One of the seven tag representations: weighting x selection (+ K)."""
 
-    weighting: Weighting
-    selection: Selection
-    k: int = 10
+    __slots__ = ("weighting", "selection", "k")
 
-    def __post_init__(self):
-        if self.weighting is Weighting.RANKS and self.selection is not Selection.TOP_K:
+    def __init__(self, weighting: Weighting, selection: Selection, k: int = 10):
+        if weighting is Weighting.RANKS and selection is not Selection.TOP_K:
             raise ValueError("rank weighting is only defined on a top-K list")
-        if self.selection is Selection.TOP_K and self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if selection is Selection.TOP_K and k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        object.__setattr__(self, "weighting", weighting)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "k", k)
 
     @property
     def name(self) -> str:
@@ -165,9 +165,8 @@ def tag_vocabulary(f: Folksonomy, min_df_fraction: float = 0.0) -> Vocabulary:
 _TOKEN_SPLIT = re.compile(r"[^0-9a-zA-Z]+")
 
 
-@dataclass(frozen=True)
-class TextPipelineConfig:
-    stopwords: frozenset[str] = field(default_factory=frozenset)
+class TextPipelineConfig(NamedTuple):
+    stopwords: frozenset[str] = frozenset()
     stem: bool = False
 
 
@@ -181,8 +180,9 @@ def tokenize(text: str, pipeline: TextPipelineConfig) -> list[str]:
     tokens = [t.lower() for t in _TOKEN_SPLIT.split(text) if t]
     if pipeline.stopwords:
         tokens = [t for t in tokens if t not in pipeline.stopwords]
-    if pipeline.stem:
-        tokens = [porter.stem(t) for t in tokens]
+    if pipeline.stem:     # porter is imported only to stem, as it costs start-up time
+        from .porter import stem
+        tokens = [stem(t) for t in tokens]
     return tokens
 
 

@@ -10,28 +10,28 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
 from .errors import MalformedRecordError
+from .records import Record
 
 __all__ = ["FeatureVector", "Vocabulary", "build_vocabulary",
            "write_pair_lines", "read_pair_lines",
            "write_vector_lines", "read_vector_lines"]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(Record):
     """Sparse vector: feature id -> weight, with the vocabulary size it lives in."""
 
-    entries: dict[int, float]
-    dim: int
+    __slots__ = ("entries", "dim")
 
-    def __post_init__(self):
-        for fid, w in self.entries.items():
+    def __init__(self, entries: dict[int, float], dim: int):
+        for fid, w in entries.items():
             if w == 0.0:
                 raise ValueError(f"zero weight stored for feature {fid}")
-            if not (0 <= fid < self.dim):
-                raise ValueError(f"feature id {fid} outside dimensionality {self.dim}")
+            if not (0 <= fid < dim):
+                raise ValueError(f"feature id {fid} outside dimensionality {dim}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "dim", dim)
 
     @staticmethod
     def from_items(items: Iterable[tuple[int, float]], dim: int) -> "FeatureVector":
@@ -51,18 +51,21 @@ class FeatureVector:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """Dense token <-> id mapping with document frequencies.
 
     Ids are assigned 0..n-1 in lexicographic token order so that two runs
     over the same corpus produce identical feature spaces.
     """
 
-    token_to_id: dict[str, int]
-    id_to_token: list[str]
-    doc_frequency: dict[str, int]
-    n_documents: int
+    __slots__ = ("token_to_id", "id_to_token", "doc_frequency", "n_documents")
+
+    def __init__(self, token_to_id: dict[str, int], id_to_token: list[str],
+                 doc_frequency: dict[str, int], n_documents: int):
+        object.__setattr__(self, "token_to_id", token_to_id)
+        object.__setattr__(self, "id_to_token", id_to_token)
+        object.__setattr__(self, "doc_frequency", doc_frequency)
+        object.__setattr__(self, "n_documents", n_documents)
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -872,7 +872,8 @@ class TestLineBreaksInsideRecords:
 
 
 # Runs `folkclass.cli.main` on argv, then reports its exit code, whether
-# numpy was loaded, and the folkclass modules that were.
+# numpy was loaded, the folkclass modules that were, and which of
+# dataclasses and inspect were.
 _MAIN_THEN_REPORT_MODULES = """
 import json, sys
 from folkclass.cli import main
@@ -881,7 +882,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps([code, "numpy" in sys.modules,
-                  sorted(m for m in sys.modules if m.startswith("folkclass."))]),
+                  sorted(m for m in sys.modules if m.startswith("folkclass.")),
+                  [m for m in ("dataclasses", "inspect") if m in sys.modules]]),
       file=sys.stderr)
 """
 
@@ -891,13 +893,13 @@ _LOADS = {
     "--help": ((), False),
     "ingest": (("folksonomy",), False),
     "stats": (("folksonomy",), False),
-    "behavior": (("folksonomy", "behavior", "vectors"), False),
-    "represent": (("folksonomy", "representation", "porter", "vectors", "weighting"), False),
-    "weight": (("folksonomy", "representation", "porter", "vectors", "weighting"), False),
-    "committee": (("vectors", "committees"), False),
-    "gen": (("folksonomy", "generator"), True),
-    "train": (("labels", "vectors", "svm"), True),
-    "eval": (("labels", "vectors", "svm", "committees"), True),
+    "behavior": (("folksonomy", "behavior", "records", "vectors"), False),
+    "represent": (("folksonomy", "records", "representation", "vectors", "weighting"), False),
+    "weight": (("folksonomy", "records", "representation", "vectors", "weighting"), False),
+    "committee": (("records", "vectors", "committees"), False),
+    "gen": (("folksonomy", "generator", "records"), True),
+    "train": (("labels", "records", "vectors", "svm"), True),
+    "eval": (("labels", "records", "vectors", "svm", "committees"), True),
 }
 
 
@@ -909,7 +911,10 @@ def assert_loads_only_its_modules(argv):
         env={**os.environ, "PYTHONPATH": str(src)})
     modules, numpy = _LOADS[argv[0]]
     expected = sorted(f"folkclass.{m}" for m in ("cli", "choices", "errors", *modules))
-    assert json.loads(proc.stderr.splitlines()[-1]) == [0, numpy, expected], proc.stderr
+    code, loaded_numpy, loaded, heavy = json.loads(proc.stderr.splitlines()[-1])
+    assert [code, loaded_numpy, loaded] == [0, numpy, expected], proc.stderr
+    if not numpy:   # numpy imports inspect; a numpy-free process loads neither
+        assert heavy == [], proc.stderr
 
 
 class TestNumpyFreeStartup:

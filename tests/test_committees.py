@@ -36,6 +36,12 @@ class TestTableChecks:
         with pytest.raises(ValueError, match=f"^{message}$"):
             MarginTable(("i0",), ("a", "b"), scores)
 
+    def test_built_from_a_2d_ndarray(self):
+        scores = np.array([[1.0, -2.0], [0.5, 3.0]])
+        t = MarginTable(("i0", "i1"), ("a", "b"), scores)
+        assert t.scores is scores
+        assert predict_committee_batch(t) == ["a", "b"]
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match=r"^scores shape \(2, 1\) does not match"):
             MarginTable(("i0", "i1"), ("a", "b"), [[1.0, 2.0], [3.0]])

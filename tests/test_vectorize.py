@@ -4,7 +4,6 @@ for bit, for all seven schemes and all four inverse-frequency kinds.
 """
 
 import logging
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -142,7 +141,7 @@ class TestCostGuard:
     def _setup(self):
         f = _corpus()
         counting = CountingMapping(f.tag_frequencies)
-        f = replace(f, tag_frequencies=counting)
+        f = f._replace(tag_frequencies=counting)
         unseen = [f"never-seen-{i}" for i in range(50)]
         vocab = build_vocabulary([list(w) for w in f.resource_tag_weights.values()]
                                  + [unseen])

@@ -25,6 +25,14 @@ class TestFeatureVector:
         with pytest.raises(ValueError):
             FeatureVector({5: 1.0}, 4)
 
+    def test_equal_on_entries_and_dim(self):
+        a = FeatureVector({0: 1.0, 2: 2.0}, 4)
+        assert a == FeatureVector({2: 2.0, 0: 1.0}, 4)
+        assert a != FeatureVector({0: 1.0, 2: 2.5}, 4)
+        assert a != FeatureVector({0: 1.0}, 4)
+        assert a != FeatureVector({0: 1.0, 2: 2.0}, 5)
+        assert a != (a.entries, a.dim)     # only a FeatureVector equals one
+
     def test_dot_and_norm(self):
         a = FeatureVector({0: 1.0, 2: 2.0}, 4)
         b = FeatureVector({2: 3.0, 3: 1.0}, 4)
