@@ -17,7 +17,7 @@ _EXPORTS = {
     **dict.fromkeys(("FeatureVector", "Vocabulary", "build_vocabulary"), "vectors"),
     **dict.fromkeys(
         ("RepresentationScheme", "Selection", "TextPipelineConfig", "Weighting",
-         "represent_resource", "represent_text", "tag_vocabulary", "top_k_tags"),
+         "represent_resource", "represent_text", "tag_vocabulary"),
         "representation"),
     **dict.fromkeys(
         ("InverseFrequencyKind", "correlate_weightings", "inverse_frequency",
@@ -25,11 +25,11 @@ _EXPORTS = {
     **dict.fromkeys(
         ("LabeledDataset", "LinearModel", "OneVsOneModel", "TrainConfig",
          "evaluate_accuracy", "objective_value", "self_train_2step", "train",
-         "train_binary", "train_native", "train_one_vs_all", "train_one_vs_one"),
+         "train_native", "train_one_vs_all", "train_one_vs_one"),
         "svm"),
     **dict.fromkeys(
-        ("MarginTable", "combine", "normalize_margins", "predict_committee",
-         "predict_committee_batch"), "committees"),
+        ("MarginTable", "combine", "predict_committee", "predict_committee_batch"),
+        "committees"),
     **dict.fromkeys(
         ("UserProfile", "UserSplit", "all_profiles", "descriptiveness", "orphan",
          "rank_users", "split_by_assignments", "tpp", "trr", "user_profile"),

@@ -210,7 +210,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_committee(args) -> int:
-    from .committees import (_MemberMismatch, combine, predict_committee_batch,
+    from .committees import (_MemberError, combine, predict_committee_batch,
                              read_margin_lines)
 
     if len(args.margins) < 2:
@@ -221,7 +221,7 @@ def _cmd_committee(args) -> int:
             tables.append(read_margin_lines(_read_lines(path)))
     try:
         summed, report = combine(tables, normalize=not args.no_normalize)
-    except _MemberMismatch as err:   # combine finds it; name both files
+    except _MemberError as err:   # combine finds it; name the files
         raise ToolkitError(err.naming(args.margins)) from None
     predictions = [{"instance": inst, "category": category} for inst, category
                    in zip(summed.instances, predict_committee_batch(summed))]

@@ -4,8 +4,10 @@ Each member classifier contributes a margin per (instance, category).
 Because members trained on different sources emit margins on different
 scales, each member can first be divided by its single largest margin over
 the whole batch; the committee score is then the elementwise sum and the
-prediction the argmax with lowest-id tie-break.  Tables hold plain
-floats, so a committee process never loads numpy.
+prediction the argmax with lowest-id tie-break.  Members hold finite
+margins, so a non-finite sum means a quotient or the sum overflowed, and
+the member at fault is named.  Tables hold plain floats, so a committee
+process never loads numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .records import Record
 from .vectors import read_pair_lines, write_pair_lines
 
 __all__ = [
-    "MarginTable", "normalize_margins", "combine", "predict_committee",
+    "MarginTable", "combine", "predict_committee",
     "predict_committee_batch", "write_margin_lines", "read_margin_lines",
 ]
 
@@ -47,71 +49,78 @@ class MarginTable(Record):
         object.__setattr__(self, "scores", scores)
 
 
-def normalize_margins(table: MarginTable) -> tuple[MarginTable, dict]:
-    """Divide every margin by the classifier's global maximum margin.
-
-    If that maximum is not positive the maximum absolute margin is used
-    instead (flagged in the report); an all-zero table is left unchanged.
-    The per-instance argmax is unchanged whenever the global max is positive.
-    """
-    report = _normalization(list(chain.from_iterable(table.scores)))
-    return MarginTable(table.instances, table.categories, tuple(
-        tuple(map(truediv, row, repeat(report["divisor"]))) for row in table.scores)), report
-
-
 def _normalization(margins: list[float]) -> dict:
-    """normalize_margins's report, from all of one table's margins."""
+    """A member's divisor: its global maximum margin, else (flagged) its largest
+    |margin|, else 1 for an all-zero member.  A positive maximum keeps every
+    instance's argmax."""
     global_max = max(margins, default=0.0)
     if global_max > 0.0:
         return {"divisor": global_max, "degenerate_max": False}
     return {"divisor": max(map(abs, margins), default=0.0) or 1.0, "degenerate_max": True}
 
 
-class _MemberMismatch(ValueError):
-    """Committee member `member` covers other categories or instances than
-    member 0.  `naming(names)` words it with member i called names[i], so
-    that a caller that knows the members' files can name both."""
+class _MemberError(ValueError):
+    """Committee member `member` is at fault, as `fault` says (against member 0
+    if `in_first`).  `naming(names)` words it with member i called names[i],
+    so that a caller that knows the members' files can name them."""
 
-    def __init__(self, member: int, what: str, theirs: str = "those"):
-        self.member, self.what, self.theirs = member, what, theirs
+    def __init__(self, member: int, fault: str, in_first: bool = False):
+        self.member, self.fault, self.in_first = member, fault, in_first
         super().__init__(self.naming([f"classifier {i}" for i in range(member + 1)]))
 
     def naming(self, names: Sequence[str]) -> str:
-        return f"{names[self.member]}: {self.what} differ from {self.theirs} in {names[0]}"
+        against = f" in {names[0]}" if self.in_first else ""
+        return f"{names[self.member]}: {self.fault}{against}"
 
 
 def combine(inputs: Sequence[MarginTable], normalize: bool = True,
             ) -> tuple[MarginTable, dict]:
-    """Sum member margins per (instance, category), optionally normalized first.
+    """Sum member margins per (instance, category), each member divided by its
+    `_normalization` divisor first if `normalize`.
 
-    All members must cover the same instances and categories, or
-    _MemberMismatch names the first member that does not; instance rows
-    are aligned by id to the first member's order.
+    Rows are aligned by instance id to the first member's order.  A member
+    that covers other instances or categories than the first, or whose
+    margins overflow the sum, raises _MemberError naming it.
     """
     if not inputs:
         raise ValueError("need at least one classifier")
     first = inputs[0]
+    total, report = _summed(inputs, normalize)
+    k = len(first.categories)
+    rows = tuple(zip(*[iter(total)] * k)) if k else ((),) * len(first.instances)
+    try:
+        return MarginTable(first.instances, first.categories, rows), report
+    except ValueError:   # the members are finite, so the sum overflowed
+        _summed(inputs, normalize, check=True)
+        raise
+
+
+def _summed(inputs: Sequence[MarginTable], normalize: bool,
+            check: bool = False) -> tuple[list[float], dict]:
+    """combine's sum, flat, and its report; with `check`, the first member
+    after which the sum is not finite raises _MemberError."""
+    first = inputs[0]
     report: dict = {"normalized": normalize, "members": []}
-    n, k = len(first.instances), len(first.categories)
     # n * k margins per member, flat in the first member's instance order,
     # summed in member order from zeros, so -0.0 in every member sums to 0.0
-    total = [0.0] * (n * k)
+    total = [0.0] * (len(first.instances) * len(first.categories))
     for idx, table in enumerate(inputs):
         if table.categories != first.categories:
-            raise _MemberMismatch(idx, f"categories {table.categories}",
-                                  str(first.categories))
+            raise _MemberError(idx, f"categories {table.categories} differ from "
+                                    f"{first.categories}", in_first=True)
         if set(table.instances) != set(first.instances):
-            raise _MemberMismatch(idx, "instance ids")
+            raise _MemberError(idx, "instance ids differ from those", in_first=True)
         row_of = dict(zip(table.instances, table.scores))
         margins = list(chain.from_iterable(map(row_of.__getitem__, first.instances)))
-        member_report = {}
+        member_report = _normalization(margins) if normalize else {}
         if normalize:
-            member_report = _normalization(margins)
             margins = map(truediv, margins, repeat(member_report["divisor"]))
         report["members"].append(member_report)
         total = list(map(add, total, margins))
-    rows = tuple(zip(*[iter(total)] * k)) if k else ((),) * n
-    return MarginTable(first.instances, first.categories, rows), report
+        if check and not all(map(isfinite, total)):
+            divided = f" divided by its divisor {member_report['divisor']!r}" if normalize else ""
+            raise _MemberError(idx, f"margins{divided} overflow the committee sum")
+    return total, report
 
 
 def predict_committee(summed: Sequence[float]) -> int:

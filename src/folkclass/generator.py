@@ -51,6 +51,8 @@ class RegimeConfig(Record):
         for name in ("n_users", "n_resources", "pool_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("bookmarks_per_user", "tags_per_bookmark"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:

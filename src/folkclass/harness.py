@@ -51,6 +51,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         check_level(self.level)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -22,7 +22,7 @@ from .vectors import FeatureVector, Vocabulary, build_vocabulary
 
 __all__ = [
     "Weighting", "Selection", "RepresentationScheme", "TextPipelineConfig",
-    "top_k_tags", "represent_resource", "represent_text", "tokenize",
+    "represent_resource", "represent_text", "tokenize",
     "load_stopwords", "tag_vocabulary", "build_vocabulary",
 ]
 
@@ -78,13 +78,6 @@ def _ordered(pairs: Iterable[tuple]) -> list[tuple]:
     key function; Python's sort stays stable with reverse=True.
     """
     return sorted(sorted(pairs), key=itemgetter(1), reverse=True)
-
-
-def top_k_tags(weights: Mapping[str, int], k: int) -> list[tuple[str, int]]:
-    """Best-weighted tags: count descending, ties lexicographic ascending."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _ordered(weights.items())[:k]
 
 
 def represent_resource(f: Folksonomy, resource: str,

@@ -44,6 +44,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +53,11 @@ from .vectors import FeatureVector
 
 __all__ = [
     "TrainConfig", "LabeledDataset", "LinearModel", "OneVsOneModel",
-    "train", "train_native", "train_binary", "train_one_vs_all",
+    "train", "train_native", "train_one_vs_all",
     "train_one_vs_one", "self_train_2step", "SelfTrainResult",
     "evaluate_accuracy",
     "objective_value", "native_objective", "native_gradient",
-    "binary_objective", "binary_gradient",
+    "binary_objective",
     "model_to_json", "model_from_json",
 ]
 
@@ -92,6 +93,8 @@ class TrainConfig:
             raise ValueError(f"penalty must be finite and > 0, got {self.penalty}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
 
@@ -558,13 +561,6 @@ def train_native(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     return _train_linear(dataset, cfg, "native", _native_hinge_grad)
 
 
-def train_binary(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """Single-hyperplane training, category id 1 positive: one-vs-one's only pair."""
-    if dataset.k != 2:
-        raise ValueError(f"binary training needs exactly 2 categories, got {dataset.k}")
-    return train_one_vs_one(dataset, cfg).models[0]
-
-
 def train_one_vs_all(dataset: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """k binary problems (category m against the rest) trained in one k-row pass,
     since they share instances, C and the seeded order; decision by argmax margin."""
@@ -591,8 +587,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> Model:
     return train_one_vs_one(dataset, cfg)
 
 
-@dataclass(frozen=True)
-class SelfTrainResult:
+class SelfTrainResult(NamedTuple):
     model: Model
     pseudo_label_counts: dict[str, int]
 
@@ -661,13 +656,6 @@ def binary_objective(w: np.ndarray, X: np.ndarray, ydec: np.ndarray,
     """0.5*||w||^2 + C * sum_i max(0, 1 - y_i w.x_i) with y in {-1, +1}."""
     hinge = np.maximum(0.0, 1.0 - ydec * (X @ w))
     return 0.5 * float(w @ w) + C * float(hinge.sum())
-
-
-def binary_gradient(w: np.ndarray, X: np.ndarray, ydec: np.ndarray,
-                    C: float) -> np.ndarray:
-    gaps = 1.0 - ydec * (X @ w)
-    coef = (gaps > 0.0).astype(float)
-    return w - C * ((coef * ydec) @ X)
 
 
 def objective_value(model: Model, dataset: LabeledDataset, cfg: TrainConfig) -> float:

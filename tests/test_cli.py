@@ -141,6 +141,21 @@ class TestCommitteeCommand:
         assert err == f"folkclass: error: {c}: {reason.format(first=a)}\n"
 
 
+    @pytest.mark.parametrize("second,flags,reason", [
+        ("i0\tc0:1e-308 c1:-2.0\n", [],
+         "margins divided by its divisor 1e-308 overflow the committee sum"),
+        ("i0\tc0:1e308 c1:0.5\n", ["--no-normalize"], "margins overflow the committee sum")],
+        ids=["normalized", "no-normalize"])
+    def test_overflow_names_the_member(self, tmp_path, capsys, second, flags, reason):
+        """Finite margins whose quotients or sum overflow name the file at fault."""
+        a, b = tmp_path / "a.margins", tmp_path / "b.margins"
+        a.write_text("i0\tc0:1e308 c1:0.5\n")
+        b.write_text(second)
+        out = tmp_path / "committee.json"
+        assert run(["committee", a, b, *flags, "-o", out]) == 1
+        assert capsys.readouterr().err == f"folkclass: error: {b}: {reason}\n"
+        assert not out.exists()
+
 # Margin files whose sums round differently in another order; "b" has no
 # positive margin and lists the instances in another order, "zero" holds
 # only zeros, two of them negative (as is b's y of i2, so only a sum that
@@ -582,6 +597,41 @@ class TestNonFiniteSettingsRejected:
             f"folkclass: error: zipf_exponent must be finite, got {value}\n")
         assert not out.exists()
 
+
+
+class TestNegativeSeedRejected:
+    """A seed below 0 is named as a setting before numpy's generator sees it."""
+
+    def test_train(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--seed", "-1", "--model-out", model]) == 1
+        assert capsys.readouterr().err == "folkclass: error: seed must be >= 0, got -1\n"
+        assert not model.exists()
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "bookmarks.jsonl"
+        assert run(["gen", "--regime", "none", "--seed", "-1", "-o", out]) == 1
+        assert capsys.readouterr().err == "folkclass: error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_sweep_option(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {"sizes": "9", "runs": "1"})
+        assert run(argv + ["--seed", "-1", "-o", out]) == 1
+        assert capsys.readouterr().err == (
+            "folkclass: error: base_seed must be >= 0, got -1\n")
+        assert not out.exists()
+
+    def test_sweep_config_key(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {"sizes": "9", "runs": "1", "base_seed": "-1"})
+        assert run(argv + ["-o", out]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: {argv[-1]}: base_seed must be >= 0, got -1\n")
+        assert not out.exists()
 
 _LINEAR = {"format": "folkclass-model/1", "kind": "linear",
            "categories": ["cat0", "cat1"], "weights": [[0.0], [1.0]],

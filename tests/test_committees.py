@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import hypothesis.extra.numpy as npst
 
 from folkclass.errors import MalformedRecordError
-from folkclass.committees import (MarginTable, combine, normalize_margins,
+from folkclass.committees import (MarginTable, _MemberError, combine,
                                   predict_committee, predict_committee_batch,
                                   read_margin_lines, write_margin_lines)
 
@@ -47,40 +47,71 @@ class TestTableChecks:
             MarginTable(("i0", "i1"), ("a", "b"), [[1.0, 2.0], [3.0]])
 
 
+def normalized(scores):
+    """One member through `combine`: the normalized table and the member's report."""
+    summed, report = combine([table(scores)])
+    return summed, report["members"][0]
+
+
 class TestNormalize:
     def test_division_by_global_max(self):
-        normalized, report = normalize_margins(table([[2.0, 4.0]]))
-        assert normalized.scores == ((0.5, 1.0),)
+        summed, report = normalized([[2.0, 4.0]])
+        assert summed.scores == ((0.5, 1.0),)
         assert report == {"divisor": 4.0, "degenerate_max": False}
 
     def test_all_equal_to_max(self):
-        normalized, _ = normalize_margins(table([[3.0, 3.0], [3.0, 3.0]]))
-        assert normalized.scores == ((1.0, 1.0), (1.0, 1.0))
+        summed, _ = normalized([[3.0, 3.0], [3.0, 3.0]])
+        assert summed.scores == ((1.0, 1.0), (1.0, 1.0))
 
     def test_idempotent(self):
-        once, _ = normalize_margins(table([[2.0, 4.0], [1.0, 0.5]]))
-        twice, report = normalize_margins(once)
+        once, _ = normalized([[2.0, 4.0], [1.0, 0.5]])
+        twice, report = normalized(once.scores)
         assert once.scores == twice.scores
         assert report["divisor"] == 1.0
 
     def test_degenerate_nonpositive_max_uses_absolute(self):
-        normalized, report = normalize_margins(table([[-2.0, -4.0]]))
+        summed, report = normalized([[-2.0, -4.0]])
         assert report["degenerate_max"] is True
         assert report["divisor"] == 4.0
-        assert normalized.scores == ((-0.5, -1.0),)
+        assert summed.scores == ((-0.5, -1.0),)
 
     def test_all_zero_left_unchanged(self):
-        normalized, report = normalize_margins(table([[0.0, 0.0]]))
+        summed, report = normalized([[0.0, 0.0]])
         assert report["degenerate_max"] is True
-        assert normalized.scores == ((0.0, 0.0),)
+        assert summed.scores == ((0.0, 0.0),)
 
     def test_argmax_preserved_when_max_positive(self):
         rng = np.random.default_rng(5)
-        raw = table((rng.normal(size=(20, 4)) + 1.0).tolist())
-        if max(map(max, raw.scores)) > 0:
-            normalized, _ = normalize_margins(raw)
-            assert (np.argmax(raw.scores, axis=1)
-                    == np.argmax(normalized.scores, axis=1)).all()
+        raw = (rng.normal(size=(20, 4)) + 1.0).tolist()
+        if max(map(max, raw)) > 0:
+            summed, _ = normalized(raw)
+            assert (np.argmax(raw, axis=1) == np.argmax(summed.scores, axis=1)).all()
+
+
+class TestOverflow:
+    """Finite members whose quotients or sum overflow name the member at fault."""
+
+    # two draws of TestSumsAsNumpy that overflowed; numpy prints the first
+    # maximum, 2 / sys.float_info.max, as 1.11253693e-308
+    @pytest.mark.parametrize("scores,divisor", [
+        ([[1.1125369292536007e-308, -2.0]], "1.1125369292536007e-308"),
+        ([[-1.0, 5e-324]], "5e-324")],
+        ids=["subnormal-max", "smallest-max"])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_normalized_quotients(self, scores, divisor, position):
+        members = [table([[1.0, 0.5]])] * position + [table(scores)]
+        with pytest.raises(_MemberError) as err:
+            combine(members)
+        assert err.value.member == position
+        assert str(err.value) == (f"classifier {position}: margins divided by its "
+                                  f"divisor {divisor} overflow the committee sum")
+
+    def test_unnormalized_sum(self):
+        members = [table([[0.0, 1.0]]), table([[1e308, 0.0]]), table([[1e308, 0.0]])]
+        with pytest.raises(_MemberError) as err:
+            combine(members, normalize=False)
+        assert err.value.member == 2
+        assert err.value.naming(["a", "b", "c"]) == "c: margins overflow the committee sum"
 
 
 class TestCombine:
@@ -140,31 +171,43 @@ class TestCombine:
 def numpy_committee(arrays, orders, normalize):
     """The committee sum as a numpy accumulator adds it: every member, normalized
     by its global max (else its largest |margin|, else 1), in member order.
-    Member t's row r is instance orders[t][r]; the sum's row j is instance j."""
+    Member t's row r is instance orders[t][r]; the sum's row j is instance j.
+    Returns the sum and None, or, if numpy overflows dividing or adding member
+    t, None and t."""
     total = np.zeros_like(arrays[0])
-    for scores, order in zip(arrays, orders):
-        if normalize:
-            divisor = scores.max() if scores.max() > 0 else np.abs(scores).max() or 1.0
-            scores = scores / divisor
-        total += scores[np.argsort(order)]
-    return total
+    with np.errstate(over="raise", invalid="raise"):
+        for member, (scores, order) in enumerate(zip(arrays, orders)):
+            try:
+                if normalize:
+                    divisor = scores.max() if scores.max() > 0 else np.abs(scores).max() or 1.0
+                    scores = scores / divisor
+                total += scores[np.argsort(order)]
+            except FloatingPointError:
+                return None, member
+    return total, None
 
 
 class TestSumsAsNumpy:
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4), st.booleans(),
            st.data())
     def test_bit_for_bit(self, n, k, members, normalize, data):
-        """Rows given in any instance order sum to numpy's bytes, -0.0 included."""
+        """Rows given in any instance order sum to numpy's bytes, -0.0 included;
+        where numpy overflows, the member it overflows at is named."""
         margins = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0])
         arrays = [data.draw(npst.arrays(np.float64, (n, k), elements=margins))
                   for _ in range(members)]
         orders = [data.draw(st.permutations(range(n))) for _ in range(members)]
         tables = [MarginTable(tuple(f"i{j}" for j in order), tuple(f"c{m}" for m in range(k)),
                               scores.tolist()) for scores, order in zip(arrays, orders)]
+        expected, at_fault = numpy_committee(arrays, orders, normalize)
+        if at_fault is not None:
+            with pytest.raises(_MemberError, match="overflow the committee sum$") as err:
+                combine(tables, normalize=normalize)
+            assert err.value.member == at_fault
+            return
         summed, _ = combine(tables, normalize=normalize)
-        expected = numpy_committee(arrays, orders, normalize)[list(orders[0])]
         assert summed.instances == tables[0].instances
-        assert np.array(summed.scores).tobytes() == expected.tobytes()
+        assert np.array(summed.scores).tobytes() == expected[list(orders[0])].tobytes()
 
 
 class TestPredict:

@@ -10,7 +10,7 @@ import folkclass
 
 
 def test_every_name_is_its_submodules_object():
-    assert len(folkclass._EXPORTS) == 63
+    assert len(folkclass._EXPORTS) == 60
     for name, module in folkclass._EXPORTS.items():
         assert getattr(folkclass, name) is getattr(
             importlib.import_module(f"folkclass.{module}"), name)

@@ -7,14 +7,25 @@ import hypothesis.strategies as st
 from folkclass.errors import UnknownResourceError
 from folkclass.folksonomy import Bookmark, ingest_bookmarks
 from folkclass.representation import (RepresentationScheme, Selection, Weighting,
-                                      represent_resource, tag_vocabulary,
-                                      top_k_tags)
+                                      represent_resource, tag_vocabulary)
 
 from conftest import WEIGHTING_TABLE_COUNTS, weighting_table_folksonomy
 
 
 def scheme(name):
     return RepresentationScheme.parse(name)
+
+
+def top_k_tags(weights, k):
+    """The (tag, count) pairs `represent_resource` selects, in entry order, for
+    a resource whose tags carry the counts `weights`: user j tags it with
+    every tag counted more than j times."""
+    f = ingest_bookmarks(
+        Bookmark(f"u{j}", "res", tuple(t for t, count in weights.items() if count > j))
+        for j in range(max(weights.values())))
+    vocab = tag_vocabulary(f)
+    fv = represent_resource(f, "res", scheme(f"weighted-top{k}"), vocab)
+    return [(vocab.id_to_token[i], int(w)) for i, w in fv.entries.items()]
 
 
 class TestTopKTags:
@@ -28,8 +39,8 @@ class TestTopKTags:
         assert top_k_tags({"a": 2, "b": 1}, 10) == [("a", 2), ("b", 1)]
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            top_k_tags({"a": 1}, 0)
+        with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+            scheme("weighted-top0")
 
     @given(st.dictionaries(st.sampled_from("abcdefgh"),
                            st.integers(1, 50), min_size=1),

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 
 from folkclass.svm import (LabeledDataset, LinearModel, OneVsOneModel,
-                           TrainConfig, binary_gradient, binary_objective,
-                           evaluate_accuracy, model_from_json, model_to_json,
-                           native_gradient, native_objective, objective_value,
-                           self_train_2step, train, train_binary, train_native,
+                           TrainConfig, evaluate_accuracy, model_from_json,
+                           model_to_json, native_gradient, native_objective,
+                           objective_value, self_train_2step, train, train_native,
                            train_one_vs_all, train_one_vs_one)
 from folkclass.vectors import FeatureVector
 
@@ -19,6 +18,11 @@ from conftest import (constant_one_vs_one, gaussian_blobs,
                       multiclass_perceptron_separable)
 
 MEANS_3 = [(0.0, 8.0), (8.0, -4.0), (-8.0, -4.0)]
+
+
+def binary_model(dataset, cfg):
+    """The single hyperplane of a two-category dataset: one-vs-one's only pair."""
+    return train_one_vs_one(dataset, cfg).models[0]
 
 
 def fv(*coords):
@@ -43,6 +47,10 @@ class TestTrainConfig:
     def test_penalty_outside_finite_positives_named(self, penalty):
         with pytest.raises(ValueError, match="penalty must be finite and > 0"):
             TrainConfig(penalty=penalty)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
 
 class TestDataset:
@@ -113,25 +121,21 @@ class TestTrainBinary:
     def test_symmetric_pair_classified(self):
         ds = LabeledDataset([(fv(-1.0, -1.0), 0), (fv(1.0, 1.0), 1)],
                             ["neg", "pos"], 2)
-        model = train_binary(ds, TrainConfig(epochs=50, seed=0))
+        model = binary_model(ds, TrainConfig(epochs=50, seed=0))
         assert evaluate_accuracy(model, ds) == 1.0
 
     def test_separable_toy_perfect(self, blobs2):
         assert multiclass_perceptron_separable(blobs2.instances, 2)
-        model = train_binary(blobs2, TrainConfig(epochs=50, seed=0))
+        model = binary_model(blobs2, TrainConfig(epochs=50, seed=0))
         assert evaluate_accuracy(model, blobs2) == 1.0
 
     def test_all_same_label_rejected(self):
         ds = LabeledDataset([(fv(1.0), 1), (fv(2.0), 1)], ["a", "b"], 1)
         with pytest.raises(ValueError):
-            train_binary(ds, TrainConfig(epochs=1))
-
-    def test_requires_two_categories(self, blobs3):
-        with pytest.raises(ValueError):
-            train_binary(blobs3, TrainConfig(epochs=1))
+            binary_model(ds, TrainConfig(epochs=1))
 
     def test_signed_margin_is_positive_row(self, blobs2):
-        model = train_binary(blobs2, TrainConfig(epochs=30, seed=4))
+        model = binary_model(blobs2, TrainConfig(epochs=30, seed=4))
         x = blobs2.instances[0][0]
         margins = model.margins(x)
         assert margins[0] == -margins[1]
@@ -185,7 +189,7 @@ class TestOneVsAll:
     def test_two_class_matches_binary_predictions(self, blobs2):
         cfg = TrainConfig(epochs=50, seed=0, scheme="one-vs-all")
         composite = train_one_vs_all(blobs2, cfg)
-        single = train_binary(blobs2, TrainConfig(epochs=50, seed=0))
+        single = binary_model(blobs2, TrainConfig(epochs=50, seed=0))
         for x, _ in blobs2.instances:
             assert composite.predict(x) == single.predict(x)
 
@@ -217,7 +221,7 @@ class TestOneVsAll:
                 rest_vs_m = LabeledDataset(
                     [(x, int(cid == m)) for x, cid in ds.instances],
                     ["rest", category], d)
-                single = train_binary(rest_vs_m, cfg)
+                single = binary_model(rest_vs_m, cfg)
                 assert np.array_equal(model.weights[m], single.weights[1]), (seed, m)
                 assert model.biases[m] == single.biases[1], (seed, m)
 
@@ -347,7 +351,7 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(model, ds) == 0.6
 
     def test_empty_test_set_rejected(self, blobs2):
-        model = train_binary(blobs2, TrainConfig(epochs=5, seed=0))
+        model = binary_model(blobs2, TrainConfig(epochs=5, seed=0))
         with pytest.raises(ValueError):
             evaluate_accuracy(model, LabeledDataset([], ["a", "b"], 2))
 
@@ -361,12 +365,23 @@ class TestEvaluateAccuracy:
 
 class TestObjective:
     def test_zero_weights_closed_form(self, blobs3):
+        """A zero model pays each hinge in full: 2 per rival category for native,
+        1 per binary problem an instance is in for one-vs-all and one-vs-one."""
         k, n = 3, len(blobs3)
-        model = LinearModel(weights=np.zeros((k, 2)), biases=np.zeros(k),
-                            categories=tuple(blobs3.categories))
+        categories = tuple(blobs3.categories)
+        linear = LinearModel(weights=np.zeros((k, 2)), biases=np.zeros(k),
+                             categories=categories)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        pair_model = OneVsOneModel(categories=categories, pairs=pairs,
+                                   weights=np.zeros((3, 2)), biases=np.zeros(3))
+        pair_sizes = sum(np.isin(blobs3.labels, pair).sum() for pair in pairs)
         for C in (0.5, 1.0, 7.0):
-            cfg = TrainConfig(penalty=C, epochs=1)
-            assert objective_value(model, blobs3, cfg) == C * n * (k - 1) * 2.0
+            for scheme, model, closed_form in (
+                    ("native", linear, C * n * (k - 1) * 2.0),
+                    ("one-vs-all", linear, k * C * n),
+                    ("one-vs-one", pair_model, C * pair_sizes)):
+                cfg = TrainConfig(penalty=C, epochs=1, scheme=scheme)
+                assert objective_value(model, blobs3, cfg) == closed_form, scheme
 
     def test_doubling_penalty_doubles_loss_term(self, blobs3):
         model = train_native(blobs3, TrainConfig(epochs=10, seed=0))
@@ -396,26 +411,6 @@ class TestObjective:
             fd = (native_objective(W + h * V, X, y, C)
                   - native_objective(W - h * V, X, y, C)) / (2 * h)
             analytic = float((native_gradient(W, X, y, C) * V).sum())
-            assert abs(fd - analytic) / max(1.0, abs(analytic)) < 1e-4
-
-    def test_binary_finite_difference(self):
-        rng = np.random.default_rng(321)
-        checked = 0
-        while checked < 10:
-            n, d = 15, 6
-            X = np.hstack([rng.normal(size=(n, d)), np.ones((n, 1))])
-            ydec = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-            w = rng.normal(size=d + 1)
-            C = float(rng.uniform(0.3, 3.0))
-            if np.abs(1.0 - ydec * (X @ w)).min() < 1e-5:
-                continue
-            checked += 1
-            v = rng.normal(size=w.shape)
-            v /= np.linalg.norm(v)
-            h = 1e-6
-            fd = (binary_objective(w + h * v, X, ydec, C)
-                  - binary_objective(w - h * v, X, ydec, C)) / (2 * h)
-            analytic = float(binary_gradient(w, X, ydec, C) @ v)
             assert abs(fd - analytic) / max(1.0, abs(analytic)) < 1e-4
 
     def test_composite_scheme_objectives(self, blobs3):

@@ -16,7 +16,7 @@ from hypothesis import given
 
 from folkclass import svm
 from folkclass.svm import (SCHEMES, LabeledDataset, LinearModel, OneVsOneModel,
-                           TrainConfig, objective_value, train_binary)
+                           TrainConfig, objective_value, train_one_vs_one)
 from folkclass.vectors import FeatureVector
 
 from conftest import constant_one_vs_one
@@ -344,7 +344,8 @@ class TestTrainingMatchesDenseStep:
     def test_binary(self, seed, cfg, tied):
         cfg = replace(cfg, scheme="one-vs-one")
         ds = gaussian_dataset(seed, 2)
-        assert_close_to_dense(train_binary(ds, cfg), dense_model(ds, cfg)[0].models[0])
+        assert_close_to_dense(train_one_vs_one(ds, cfg).models[0],
+                              dense_model(ds, cfg)[0].models[0])
         assert dense_model(tag_count_dataset(seed, 2), cfg)[1] or not tied
 
 
@@ -386,7 +387,7 @@ def test_training_never_builds_the_dense_matrix(monkeypatch):
 
     def model_documents() -> list[str]:
         models = [svm.train(ds, replace(cfg, scheme=scheme)) for scheme in svm.SCHEMES]
-        models.append(train_binary(tag_count_dataset(7, 2), cfg))
+        models.append(train_one_vs_one(tag_count_dataset(7, 2), cfg))
         models.append(svm.self_train_2step(ds, unlabeled, cfg).model)
         return [svm.model_to_json(m) for m in models]
 
