@@ -196,11 +196,9 @@ def _cmd_eval(args) -> int:
     ds, used = _labeled_dataset(vectors, args, model.categories)
     try:
         accuracy, margins = svm._evaluate(model, ds)
-    except svm._FeatureOutOfWidth as err:   # svm finds it; name the file and the resource
-        r = used[err.vector]
-        raise ToolkitError(f"{args.vectors}: resource {r!r} has feature id "
-                           f"{max(vectors[r].entries)}, outside the model's "
-                           f"{model.n_features} features") from None
+    except svm._VectorError as err:   # svm finds it; name the files and the resource
+        raise ToolkitError(f"{args.model} on {args.vectors}: resource "
+                           f"{used[err.vector]!r} has {err.fault}") from None
     if args.margins_out:
         _write_tsv(write_margin_lines(MarginTable(tuple(used), model.categories,
                                                   margins.tolist())), args.margins_out)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from operator import eq
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .errors import InsufficientDataError
 from .folksonomy import Folksonomy
 from .labels import CategoryAssignment, check_level, label_map
 from .representation import RepresentationScheme, Selection, Weighting
-from .svm import LabeledDataset, TrainConfig, train
-from .committees import MarginTable, combine, predict_committee_batch
+from .svm import LabeledDataset, TrainConfig, _evaluate, train
+from .committees import MarginTable, combine, predict_committee
 from .vectors import build_vocabulary
 from .weighting import Member, member_name, parse_member, vectorize
 
@@ -114,8 +115,13 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
         (list(f.resource_tag_weights[r]) for r in train_pool),
         spec.min_df_fraction)
 
-    vectors = {member_name(m): vectorize(f, m, vocab, pool) for m in members}
-    test_labels = [cat_id[label_of[r]] for r in test_pool]
+    vectors = [vectorize(f, m, vocab, pool) for m in members]
+
+    def dataset(vs: dict, resources: Sequence[str]) -> LabeledDataset:
+        return LabeledDataset([(vs[r], cat_id[label_of[r]]) for r in resources],
+                              categories, len(vocab))
+
+    test_sets = [dataset(vs, test_pool) for vs in vectors]   # flattened once, scored every run
 
     results = []
     for size in spec.sizes:
@@ -126,27 +132,19 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             chosen, retries = _sample_covering(
                 train_pool, size, label_of, categories, rng)
             cfg = replace(spec.train, seed=seed)
-            fitted = []
-            for m in members:
-                vs = vectors[member_name(m)]
-                ds = LabeledDataset(
-                    [(vs[r], cat_id[label_of[r]]) for r in chosen],
-                    categories, len(vocab))
-                fitted.append((train(ds, cfg), vs))
+            scored = [_evaluate(train(dataset(vs, chosen), cfg), test)   # (accuracy, margins)
+                      for vs, test in zip(vectors, test_sets)]
             if spec.committee:
-                tables = [MarginTable(
-                    tuple(test_pool), tuple(categories),
-                    model.margins_batch([vs[r] for r in test_pool]).tolist())
-                    for model, vs in fitted]
-                summed, _ = combine(tables, normalize=True)
-                predicted = [cat_id[c] for c in predict_committee_batch(summed)]
+                summed, _ = combine([MarginTable(tuple(test_pool), tuple(categories),
+                                                 margins.tolist())
+                                     for _, margins in scored], normalize=True)
+                correct = sum(map(eq, map(predict_committee, summed.scores),
+                                  test_sets[0].labels.tolist()))
+                accuracy = correct / len(test_pool)
             else:
                 # one member decides by its own rule: one-vs-one votes
                 # pairwise, which a committee of one would not
-                [(model, vs)] = fitted
-                predicted = model.predict_batch([vs[r] for r in test_pool]).tolist()
-            correct = sum(1 for p, cid in zip(predicted, test_labels) if p == cid)
-            accuracy = correct / len(test_pool)
+                [(accuracy, _)] = scored
             run_rows.append({"run": run, "seed": seed, "accuracy": accuracy,
                              "resampled": retries})
         results.append({

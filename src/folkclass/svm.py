@@ -68,17 +68,14 @@ _LOCKSTEP_ENTRIES = 1 << 14      # bound on a one-vs-one lockstep block's gather
 _Batch = tuple[np.ndarray, np.ndarray, np.ndarray]   # `_csr`'s starts, cols and vals
 
 
-class _FeatureOutOfWidth(ValueError):
-    """A scored vector holds a feature id at or above the model's width.
+class _VectorError(ValueError):
+    """Vector `vector` of a scored batch is at fault, as `fault` says: it holds
+    a feature id at or above the model's width, or its margins overflow.  A
+    caller that knows the vectors' names can name the culprit."""
 
-    `vector` is its index in the scored batch, so that a caller that knows
-    the vectors' names can name the culprit.
-    """
-
-    def __init__(self, vector: int, feature: int, width: int):
-        super().__init__(f"vector {vector}: feature id {feature} "
-                         f"outside the model's {width} features")
-        self.vector = vector
+    def __init__(self, vector: int, fault: str):
+        super().__init__(f"vector {vector}: {fault}")
+        self.vector, self.fault = vector, fault
 
 
 @dataclass(frozen=True)
@@ -157,9 +154,10 @@ class LabeledDataset:
 
 
 class Model:
-    """What both model kinds share.  A kind is a frozen dataclass with
-    `categories` and a (rows, d) `weights` matrix with its `biases`, and
-    supplies `_row_margins` and `_scores`."""
+    """What both model kinds share: the margin pass and the calls that score
+    through it.  A kind is a frozen dataclass with `categories` and a
+    (rows, d) `weights` matrix with its `biases`, and supplies only its
+    decision rule `_decide`."""
 
     def __post_init__(self):
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
@@ -174,13 +172,55 @@ class Model:
         """Width of the feature space; a vector with an id at or above it is an error."""
         return self.weights.shape[1]
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """(d, rows): each feature's column of weights, contiguous, as float64."""
+        return np.ascontiguousarray(self.weights.T, dtype=float)
+
+    def _pass(self, batch: _Batch) -> np.ndarray:
+        """w_r.x + b_r for every row x of a `_csr` batch and every weight row r,
+        shape (n, rows): the margin pass.
+
+        Each row is summed strictly left to right: the bias, then
+        w * weights[:, fid] for each entry in the vector's entry order.  The
+        rows go longest first, so pass j adds every row's j-th term to a
+        prefix of them; a row whose entries have run out is left alone.
+        """
+        starts, cols, vals = batch
+        if cols.size and cols.max() >= self.n_features:
+            at = np.argmax(cols >= self.n_features)
+            raise _VectorError(int(np.searchsorted(starts, at, "right") - 1),
+                               f"feature id {cols[at]} outside the model's "
+                               f"{self.n_features} features")
+        lengths = np.diff(starts)
+        order = np.argsort(-lengths, kind="stable")
+        heads = starts[:-1][order]
+        longer = len(lengths) - np.cumsum(np.bincount(lengths))    # rows with a (j+1)-th entry
+        sums = np.tile(self.biases.astype(float), (len(lengths), 1))
+        for j, m in enumerate(longer[:-1].tolist()):
+            at = heads[:m] + j
+            sums[:m] += self._columns[cols[at]] * vals[at, None]
+        return sums[np.argsort(order)]
+
+    def _scores(self, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, k) margins of a `_csr` batch and every row's category id,
+        by the kind's decision rule on one margin pass.  Weights and values
+        are finite, so a margin that is not has overflowed: the first row
+        holding one is named."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins, predicted = self._decide(self._pass(batch))
+        finite = np.isfinite(margins).all(axis=1)
+        if not finite.all():
+            raise _VectorError(int(np.argmin(finite)), "overflowing margins")
+        return margins, predicted
+
     def predict_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
         """Category id of every vector, by the kind's decision rule."""
         return self._scores(_csr(fvs))[1]
 
     def margins_batch(self, fvs: Sequence[FeatureVector]) -> np.ndarray:
         """Margins of every vector, shape (n, k)."""
-        return self._row_margins(_csr(fvs))
+        return self._scores(_csr(fvs))[0]
 
     def margins(self, fv: FeatureVector) -> np.ndarray:
         return self.margins_batch([fv])[0]
@@ -202,38 +242,8 @@ class LinearModel(Model):
         """Weights with the bias as a trailing column, the trained parameterization."""
         return np.hstack([self.weights, self.biases[:, None]])
 
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        """(d, k): each feature's column of weights, contiguous, as float64."""
-        return np.ascontiguousarray(self.weights.T, dtype=float)
-
-    def _row_margins(self, batch: _Batch) -> np.ndarray:
-        """Margins of every row of a `_csr` batch, shape (n, k): the margin pass.
-
-        Each row is summed strictly left to right: the bias, then
-        w * weights[:, fid] for each entry in the vector's entry order.  The
-        rows go longest first, so pass j adds every row's j-th term to a
-        prefix of them; a row whose entries have run out is left alone.
-        """
-        starts, cols, vals = batch
-        if cols.size and cols.max() >= self.n_features:
-            at = np.argmax(cols >= self.n_features)
-            raise _FeatureOutOfWidth(int(np.searchsorted(starts, at, "right") - 1), cols[at],
-                                     self.n_features)
-        lengths = np.diff(starts)
-        order = np.argsort(-lengths, kind="stable")
-        heads = starts[:-1][order]
-        longer = len(lengths) - np.cumsum(np.bincount(lengths))    # rows with a (j+1)-th entry
-        sums = np.tile(self.biases.astype(float), (len(lengths), 1))
-        for j, m in enumerate(longer[:-1].tolist()):
-            at = heads[:m] + j
-            sums[:m] += self._columns[cols[at]] * vals[at, None]
-        return sums[np.argsort(order)]
-
-    def _scores(self, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
-        """The margins of a `_csr` batch, and the argmax margin of every row
-        (lowest id on ties), from one margin pass."""
-        margins = self._row_margins(batch)
+    def _decide(self, margins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pass's rows are the margins; the argmax margin wins, lowest id on ties."""
         return margins, np.argmax(margins, axis=1)
 
 
@@ -254,12 +264,6 @@ class OneVsOneModel(Model):
     biases: np.ndarray             # (P,)
     meta: dict = field(default_factory=dict)
 
-    @cached_property
-    def _pair_rows(self) -> LinearModel:
-        """The pair matrix, uncopied, as a P-row model: one pass scores all pairs."""
-        return LinearModel(weights=self.weights, biases=self.biases,
-                           categories=tuple(f"{a}:{b}" for a, b in self.pairs))
-
     @property
     def models(self) -> tuple[LinearModel, ...]:
         """Each pair as a two-row binary model [-w, w] over its two categories,
@@ -270,25 +274,15 @@ class OneVsOneModel(Model):
                                  meta=meta)
                      for (a, b), w, bias in zip(self.pairs, self.weights, self.biases))
 
-    def _row_margins(self, batch: _Batch) -> np.ndarray:
-        """Per-category summed signed margins over all pairs, (n, k)."""
-        return self._tally(self._pair_rows._row_margins(batch))
-
-    def _tally(self, signed: np.ndarray) -> np.ndarray:
-        """Per-category sums of (n, P) signed margins, pair by pair in pair order."""
-        sums = np.zeros((len(signed), self.k))
+    def _decide(self, signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """From the (n, P) signed margins, the summed margins and every row's
+        most pairwise wins (b wins pair (a, b) where its signed margin is > 0,
+        else a), ties by summed signed margins, then lowest id."""
+        n = len(signed)
+        sums = np.zeros((n, self.k))
         for (a, b), s in zip(self.pairs, signed.T):
             sums[:, b] += s
             sums[:, a] -= s
-        return sums
-
-    def _scores(self, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
-        """The margins of a `_csr` batch, and every row's most pairwise wins (b
-        wins pair (a, b) where its signed margin is > 0, else a), ties by summed
-        signed margins, then lowest id, from one pass over the pairs."""
-        signed = self._pair_rows._row_margins(batch)
-        sums = self._tally(signed)
-        n = len(signed)
         first, second = np.array(self.pairs, dtype=np.intp).T
         winners = np.where(signed > 0.0, second, first) + self.k * np.arange(n)[:, None]
         votes = np.bincount(winners.ravel(), minlength=n * self.k).reshape(n, self.k)

@@ -395,17 +395,17 @@ class TestEvalScoresOnce:
         assert run(["train", "--vectors", vectors, "--labels", labels_path,
                     "--scheme", scheme, "--epochs", 5, "--model-out", model]) == 0
         passes, flattened = [], []      # rows per margin pass, vectors per _csr call
-        row_margins, csr = svm.LinearModel._row_margins, svm._csr
+        margin_pass, csr = svm.Model._pass, svm._csr
 
         def counted(self, batch):
             passes.append(len(batch[0]) - 1)
-            return row_margins(self, batch)
+            return margin_pass(self, batch)
 
         def counted_csr(fvs):
             flattened.append(len(fvs))
             return csr(fvs)
 
-        monkeypatch.setattr(svm.LinearModel, "_row_margins", counted)
+        monkeypatch.setattr(svm.Model, "_pass", counted)
         monkeypatch.setattr(svm, "_csr", counted_csr)
         capsys.readouterr()
         margins = tmp_path / "eval.margins"
