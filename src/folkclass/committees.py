@@ -111,7 +111,9 @@ def _summed(inputs: Sequence[MarginTable], normalize: bool,
         if set(table.instances) != set(first.instances):
             raise _MemberError(idx, "instance ids differ from those", in_first=True)
         row_of = dict(zip(table.instances, table.scores))
-        margins = list(chain.from_iterable(map(row_of.__getitem__, first.instances)))
+        # as Python floats: a numpy scalar's overflow would warn before it is named
+        margins = list(map(float, chain.from_iterable(map(row_of.__getitem__,
+                                                          first.instances))))
         member_report = _normalization(margins) if normalize else {}
         if normalize:
             margins = map(truediv, margins, repeat(member_report["divisor"]))

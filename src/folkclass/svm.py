@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -537,6 +538,19 @@ def _model_meta(cfg: TrainConfig, scheme: str) -> dict:
             "seed": cfg.seed, "hinge_exponent": _HINGE_EXPONENT}
 
 
+@contextmanager
+def _overflow_named(dataset: LabeledDataset, cfg: TrainConfig):
+    """Training inside raises ValueError naming the penalty and the largest
+    |feature value| at its first overflowing or invalid float operation."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        top = float(np.abs(dataset.vals).max(initial=0.0))
+        raise ValueError(f"training overflows at penalty {cfg.penalty!r} with largest "
+                         f"|feature value| {top!r} ({exc})") from None
+
+
 def _train_linear(dataset: LabeledDataset, cfg: TrainConfig, scheme: str,
                   hinge_grad) -> LinearModel:
     """One `_sgd` pass over all instances into k rows, the loss `hinge_grad(y)`'s."""
@@ -544,8 +558,9 @@ def _train_linear(dataset: LabeledDataset, cfg: TrainConfig, scheme: str,
     rows, y = _sparse_rows(dataset)
     plan = _schedule(len(rows), cfg)
     V, U = np.zeros((2, dataset.k, dataset.n_features + 1))
-    _sgd(rows, plan, hinge_grad(y), cfg, V, U)
-    W = _tail_average(V, U, [plan] * dataset.k)
+    with _overflow_named(dataset, cfg):
+        _sgd(rows, plan, hinge_grad(y), cfg, V, U)
+        W = _tail_average(V, U, [plan] * dataset.k)
     return LinearModel(weights=W[:, :-1], biases=W[:, -1],
                        categories=tuple(dataset.categories), meta=_model_meta(cfg, scheme))
 
@@ -567,7 +582,8 @@ def train_one_vs_one(dataset: LabeledDataset, cfg: TrainConfig) -> OneVsOneModel
     lockstep pass into the rows of one pair matrix."""
     _check_no_empty_category(dataset)
     pairs = tuple((a, b) for a in range(dataset.k) for b in range(a + 1, dataset.k))
-    W = _train_pairs(*_biased(dataset), dataset.labels, pairs, dataset.n_features + 1, cfg)
+    with _overflow_named(dataset, cfg):
+        W = _train_pairs(*_biased(dataset), dataset.labels, pairs, dataset.n_features + 1, cfg)
     return OneVsOneModel(categories=tuple(dataset.categories), pairs=pairs,
                          weights=W[:, :-1], biases=W[:, -1],
                          meta=_model_meta(cfg, "one-vs-one"))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import folkclass
@@ -597,6 +598,60 @@ class TestNonFiniteSettingsRejected:
             f"folkclass: error: zipf_exponent must be finite, got {value}\n")
         assert not out.exists()
 
+
+
+class TestOverflowNamed:
+    """Finite inputs whose margins or training overflow exit 1 naming the file,
+    resource or setting, with no traceback (warnings are errors here)."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("margins_out", [False, True])
+    def test_eval_names_model_and_resource(self, tmp_path, capsys, scheme, margins_out):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--scheme", scheme, "--epochs", 5, "--model-out", model]) == 0
+        trained = svm.model_from_json(model.read_text())
+        model.write_text(svm.model_to_json(dataclasses.replace(
+            trained, weights=np.full_like(trained.weights, 1e308))))
+        capsys.readouterr()
+        margins = tmp_path / "eval.margins"
+        assert run(["eval", "--model", model, "--vectors", vectors, "--labels", labels_path,
+                    *(["--margins-out", margins] if margins_out else [])]) == 1
+        err = capsys.readouterr().err
+        named = re.fullmatch(f"folkclass: error: {re.escape(str(model))} on "
+                             f"{re.escape(str(vectors))}: resource '(.+)' has "
+                             f"overflowing margins\n", err)
+        assert named and named[1] in read_vector_lines(vectors.read_text().splitlines())
+        assert not margins.exists()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_train_penalty(self, tmp_path, capsys, scheme):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--scheme", scheme, "--penalty", "1e308", "--model-out", model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("folkclass: error: training overflows at penalty 1e+308 with "
+                              "largest |feature value| ") and err.count("\n") == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_train_huge_feature_values(self, tmp_path, capsys, scheme):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        huge = tmp_path / "huge.tsv"
+        huge.write_text("".join(
+            f"{r}\t" + " ".join(f"{i}:1e300" for i in fv.entries) + "\n"
+            for r, fv in read_vector_lines(vectors.read_text().splitlines()).items()))
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", "--vectors", huge, "--labels", labels_path,
+                    "--scheme", scheme, "--model-out", model]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("folkclass: error: training overflows at penalty 1.0 with "
+                              "largest |feature value| 1e+300 (") and err.count("\n") == 1
+        assert not model.exists()
 
 
 class TestNegativeSeedRejected:

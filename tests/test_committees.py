@@ -113,6 +113,16 @@ class TestOverflow:
         assert err.value.member == 2
         assert err.value.naming(["a", "b", "c"]) == "c: margins overflow the committee sum"
 
+    def test_ndarray_rows(self):
+        # numpy scalars would warn on the overflowing quotient before it is named
+        with pytest.raises(_MemberError) as err:
+            combine([MarginTable(("i0",), ("a", "b"),
+                                 np.array([[1.1125369292536007e-308, -2.0]]))])
+        assert err.value.member == 0
+        rows = [[0.1, -2.5], [3.0, 1e-300]]
+        as_arrays, _ = combine([MarginTable(("i0", "i1"), ("a", "b"), np.array(rows))] * 2)
+        assert as_arrays == combine([table(rows, categories=("a", "b"))] * 2)[0]
+
 
 class TestCombine:
     def test_worked_example_sums_and_prediction(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from folkclass import harness
+from folkclass import harness, svm
 from folkclass.errors import InsufficientDataError
 from folkclass.folksonomy import Bookmark, ingest_bookmarks
 from folkclass.labels import CategoryAssignment
@@ -150,6 +150,23 @@ class TestRunExperiment:
             quick_spec(sizes=(24,), runs=2, train=TrainConfig(epochs=60, seed=0)),
             f, labels)
         assert report["results"][0]["mean_accuracy"] >= 0.9
+
+    @pytest.mark.parametrize("committee", [
+        None, (RepresentationScheme.parse("weighted-fta"), InverseFrequencyKind.IRF)])
+    def test_each_members_test_pool_flattened_once(self, monkeypatch, committee):
+        flattened, csr = [], svm._csr
+
+        def counted_csr(fvs):
+            flattened.append(len(fvs))
+            return csr(fvs)
+
+        monkeypatch.setattr(svm, "_csr", counted_csr)
+        f, labels = labeled_corpus()
+        report = run_experiment(quick_spec(sizes=(6, 9), runs=3, committee=committee),
+                                f, labels)
+        n_test = report["data"]["n_test"]
+        assert n_test > 9
+        assert flattened.count(n_test) == len(committee or [None])   # not 6 per member
 
 
 class TestTopkSweep:

@@ -185,6 +185,38 @@ class TestPredictMargins:
         assert model.predict(fv(1.0)) == 0
 
 
+class TestOverflow:
+    """Finite weights and values whose margins or training overflow are named."""
+
+    def test_linear_margins_name_the_first_vector(self):
+        model = LinearModel(weights=np.full((2, 2), 1e308), biases=np.zeros(2),
+                            categories=("a", "b"))
+        batch = [fv(1.0, 0.0), fv(1.0, 1.0), fv(0.0, 5.0)]
+        for score in (model.margins_batch, model.predict_batch):
+            with pytest.raises(ValueError, match=r"^vector 1: overflowing margins$"):
+                score(batch)
+
+    def test_one_vs_one_tally_is_checked(self):
+        # every pair's signed margin is finite; category 2's sum of two is not
+        model = constant_one_vs_one([0.0, 1e308, 1e308])
+        with pytest.raises(ValueError, match=r"^vector 0: overflowing margins$"):
+            model.predict(fv(1.0))
+
+    @pytest.mark.parametrize("scheme", ["native", "one-vs-all", "one-vs-one"])
+    def test_penalty_named(self, blobs3, scheme):
+        with pytest.raises(ValueError, match=r"^training overflows at penalty 1e\+308 "
+                                             r"with largest \|feature value\| "):
+            train(blobs3, TrainConfig(penalty=1e308, epochs=2, scheme=scheme))
+
+    @pytest.mark.parametrize("scheme", ["native", "one-vs-all", "one-vs-one"])
+    def test_largest_value_named(self, blobs3, scheme):
+        huge = LabeledDataset([(FeatureVector({i: 1e300 for i in x.entries}, 2), y)
+                               for x, y in blobs3.instances], blobs3.categories, 2)
+        with pytest.raises(ValueError, match=r"^training overflows at penalty 1\.0 "
+                                             r"with largest \|feature value\| 1e\+300 "):
+            train(huge, TrainConfig(epochs=2, scheme=scheme))
+
+
 class TestOneVsAll:
     def test_two_class_matches_binary_predictions(self, blobs2):
         cfg = TrainConfig(epochs=50, seed=0, scheme="one-vs-all")
