@@ -168,13 +168,17 @@ def _cmd_train(args) -> int:
                              "n_instances": len(ds),
                              "categories": ds.categories}}
     if args.self_train:
-        unlabeled: list[FeatureVector] = []
+        extra: dict[str, FeatureVector] = {}
         if args.unlabeled_vectors:
             with _reading(args.unlabeled_vectors):
                 extra = read_vector_lines(_read_lines(args.unlabeled_vectors),
                                           dim=ds.n_features)
-            unlabeled = [extra[k] for k in sorted(extra)]
-        result = svm.self_train_2step(ds, unlabeled, cfg)
+        names = sorted(extra)
+        try:
+            result = svm.self_train_2step(ds, [extra[r] for r in names], cfg)
+        except svm._VectorError as err:   # the step-1 model's margins; name the resource
+            raise ToolkitError(f"{args.unlabeled_vectors}: resource {names[err.vector]!r} "
+                               f"has {err.fault} under the step-1 model") from None
         model = result.model
         report["pseudo_label_counts"] = result.pseudo_label_counts
     else:

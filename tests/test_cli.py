@@ -600,6 +600,15 @@ class TestNonFiniteSettingsRejected:
 
 
 
+def revalued(vectors, path, value: str, prefix: str = ""):
+    """The vector file `vectors` with every value set to `value` and every
+    resource id prefixed, written to `path`."""
+    path.write_text("".join(
+        f"{prefix}{r}\t" + " ".join(f"{i}:{value}" for i in fv.entries) + "\n"
+        for r, fv in read_vector_lines(vectors.read_text().splitlines()).items()))
+    return path
+
+
 class TestOverflowNamed:
     """Finite inputs whose margins or training overflow exit 1 naming the file,
     resource or setting, with no traceback (warnings are errors here)."""
@@ -640,10 +649,7 @@ class TestOverflowNamed:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_train_huge_feature_values(self, tmp_path, capsys, scheme):
         _, _, labels_path, vectors = write_corpus(tmp_path)
-        huge = tmp_path / "huge.tsv"
-        huge.write_text("".join(
-            f"{r}\t" + " ".join(f"{i}:1e300" for i in fv.entries) + "\n"
-            for r, fv in read_vector_lines(vectors.read_text().splitlines()).items()))
+        huge = revalued(vectors, tmp_path / "huge.tsv", "1e300")
         model = tmp_path / "m.json"
         capsys.readouterr()
         assert run(["train", "--vectors", huge, "--labels", labels_path,
@@ -651,6 +657,19 @@ class TestOverflowNamed:
         err = capsys.readouterr().err
         assert err.startswith("folkclass: error: training overflows at penalty 1.0 with "
                               "largest |feature value| 1e+300 (") and err.count("\n") == 1
+        assert not model.exists()
+
+    def test_self_train_names_the_unlabeled_resource(self, tmp_path, capsys):
+        _, _, labels_path, vectors = write_corpus(tmp_path)
+        unlabeled = revalued(vectors, tmp_path / "unlabeled.tsv", "1e150", prefix="u")
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run(["train", "--vectors", vectors, "--labels", labels_path,
+                    "--penalty", "1e300", "--epochs", 1, "--self-train",
+                    "--unlabeled-vectors", unlabeled, "--model-out", model]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"folkclass: error: {re.escape(str(unlabeled))}: resource "
+                            f"'u.+' has overflowing margins under the step-1 model\n", err)
         assert not model.exists()
 
 
