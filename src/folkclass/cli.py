@@ -53,6 +53,14 @@ def _config(cls, args):
                   for name, value in vars(args).items() if name in fields})
 
 
+def _scheme(text: str):    # --scheme: a typo is a usage error, before any input is read
+    from .representation import RepresentationScheme
+    try:
+        return RepresentationScheme.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -107,7 +115,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_vectors(args) -> int:   # represent and weight
-    from .representation import RepresentationScheme, tag_vocabulary
+    from .representation import tag_vocabulary
     from .vectors import write_vector_lines
     from .weighting import InverseFrequencyKind, correlate_weightings, vectorize
 
@@ -116,8 +124,7 @@ def _cmd_vectors(args) -> int:   # represent and weight
         _write_json({"meta": {"kind": "correlation"},
                      "correlation": correlate_weightings(f)}, args.output)
         return 0
-    member = (RepresentationScheme.parse(args.scheme) if args.command == "represent"
-              else InverseFrequencyKind(args.kind))
+    member = args.scheme if args.command == "represent" else InverseFrequencyKind(args.kind)
     vocab = tag_vocabulary(f, args.min_df)
     vectors = vectorize(f, member, vocab, sorted(f.resource_tag_weights))
     _write_tsv(write_vector_lines(vectors), args.output)
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("represent", _cmd_vectors, "tag-based resource vectors",
                 bookmarks, vocabulary)
-    p.add_argument("--scheme", required=True,
+    p.add_argument("--scheme", required=True, type=_scheme,
                    help="e.g. ranks-top10, fractions-fta, weighted-top5")
 
     p = command("weight", _cmd_vectors, "inverse-frequency weighted vectors",

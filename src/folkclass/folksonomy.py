@@ -11,10 +11,11 @@ Tags are opaque byte strings: no case folding, no stemming, no merging.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .choices import DEFAULT_READING_STATE_TAGS
@@ -77,11 +78,12 @@ class Folksonomy(NamedTuple):
     is counted from `resource_bookmarks` when the index is built.  All
     totals and frequencies count annotated entities only: a bookmark with
     no tags is retained in `bookmarks` but contributes nothing to the
-    statistics.
+    statistics.  Tag rankings read the (-w, tag) order ingest stores; a
+    Folksonomy built otherwise carries no order guarantee.
     """
 
     bookmarks: tuple[Bookmark, ...]
-    resource_tag_weights: dict[str, dict[str, int]]   # resource -> tag -> w_t
+    resource_tag_weights: dict[str, dict[str, int]]   # resource -> tag -> w_t, by (-w, tag)
     tag_frequencies: dict[str, TagFrequencies]
     report: IngestReport
     all_resource_ids: frozenset[str]
@@ -183,6 +185,8 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
     get one assigned by stream position within their resource and are
     flagged as synthetically ordered.  A bookmark is rebuilt only to collapse
     its tags or take that order; the tags are counted over the kept ones.
+    Each resource's weights are stored by weight descending, then tag: the
+    one place that decides the (-w, tag) order tag rankings read.
     """
     kept: list[Bookmark] = []
     users_of: dict[str, set[str]] = {}   # resource -> users of its kept bookmarks
@@ -215,8 +219,11 @@ def ingest_bookmarks(stream: Iterable[Bookmark]) -> Folksonomy:
             "dropped %d duplicate (user, resource) bookmarks", duplicate_pairs)
 
     tags_of = attrgetter("tags")
-    resource_tag_weights = {r: dict(Counter(chain.from_iterable(map(tags_of, bs))))
-                            for r, bs in resource_bookmarks.items()}
+    # by tag, then stably by weight: (-w, tag) with no per-item key function
+    resource_tag_weights = {
+        r: dict(sorted(sorted(Counter(chain.from_iterable(map(tags_of, bs))).items()),
+                       key=itemgetter(1), reverse=True))
+        for r, bs in resource_bookmarks.items()}
     tag_rf = Counter(chain.from_iterable(resource_tag_weights.values()))
     tag_uf = Counter(chain.from_iterable(set(chain.from_iterable(map(tags_of, bs)))
                                          for bs in user_bookmarks.values()))
@@ -292,8 +299,8 @@ def novelty_ratios(f: Folksonomy, resource: str,
     return ratios
 
 
-def _mean(values: list[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+def _mean(values: list[float]) -> float:    # fsum: the same whatever order resources came in
+    return math.fsum(values) / len(values) if values else 0.0
 
 
 def corpus_statistics(f: Folksonomy) -> dict:
@@ -328,10 +335,9 @@ def corpus_statistics(f: Folksonomy) -> dict:
 
     # mean w_t(rank)/w_t(rank 1) across resources having a tag at that rank
     by_rank: list[list[float]] = []
-    for weights in f.resource_tag_weights.values():
-        ordered = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-        top = ordered[0][1]
-        for i, (_, w) in enumerate(ordered):
+    for weights in f.resource_tag_weights.values():     # each in (-w, tag) order
+        top = next(iter(weights.values()))
+        for i, w in enumerate(weights.values()):
             if i == len(by_rank):
                 by_rank.append([])
             by_rank[i].append(w / top)

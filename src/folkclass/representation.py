@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import re
+from collections import Counter
 from collections.abc import Callable, Iterable
-from operator import itemgetter
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import UnknownResourceError
@@ -39,6 +40,9 @@ class Selection(enum.Enum):
     FTA = "fta"
 
 
+_SCHEME_NAME = re.compile(rf"({'|'.join(w.value for w in Weighting)})-(?:(fta)|top(\d+))")
+
+
 class RepresentationScheme(Record):
     """One of the seven tag representations: weighting x selection (+ K)."""
 
@@ -61,23 +65,16 @@ class RepresentationScheme(Record):
     @staticmethod
     def parse(text: str) -> "RepresentationScheme":
         """Parse names like `weighted-fta`, `ranks-top10`, `fractions-top5`."""
-        weighting_part, _, selection_part = text.partition("-")
-        weighting = Weighting(weighting_part)
-        if selection_part == "fta":
-            return RepresentationScheme(weighting, Selection.FTA)
-        m = re.fullmatch(r"top(\d+)", selection_part)
-        if not m:
-            raise ValueError(f"cannot parse representation scheme {text!r}")
-        return RepresentationScheme(weighting, Selection.TOP_K, int(m.group(1)))
+        m = _SCHEME_NAME.fullmatch(text)
+        if not m or (m[1] == Weighting.RANKS.value and m[2]):
+            raise ValueError(f"cannot parse representation scheme {text!r}: expected "
+                             "<weighting>-fta or <weighting>-top<K>, <weighting> one of "
+                             f"{', '.join(w.value for w in Weighting)}, "
+                             "and ranks only with top<K>")
+        if m[2]:
+            return RepresentationScheme(Weighting(m[1]), Selection.FTA)
+        return RepresentationScheme(Weighting(m[1]), Selection.TOP_K, int(m[3]))
 
-
-def _ordered(pairs: Iterable[tuple]) -> list[tuple]:
-    """(key, weight) pairs by weight descending, then key ascending.
-
-    Sorting by key and then, stably, by weight orders them with no per-item
-    key function; Python's sort stays stable with reverse=True.
-    """
-    return sorted(sorted(pairs), key=itemgetter(1), reverse=True)
 
 
 def represent_resource(f: Folksonomy, resource: str,
@@ -98,11 +95,11 @@ def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
              ixf: Callable[[str], float] | None = None) -> dict[str, FeatureVector]:
     """The vectorizer pass: every tag vector is built here, once.
 
-    Each resource's tags are ordered once, by (-w, tag), and that is the
-    entry order of its vector.  `ixf`, when given, maps a tag to the tf-ixf
-    multiplier of its weighted value; it is evaluated once per distinct
-    in-vocabulary tag the resources carry, and an entry it zeroes is
-    dropped.  An unknown id raises before any vector is built.
+    Each resource's tags are read in the (-w, tag) order that ingest stored,
+    with no sort, and that is the entry order of its vector.  `ixf`, when
+    given, maps a tag to the tf-ixf multiplier of its weighted value; it is
+    evaluated once per distinct in-vocabulary tag the resources carry, and
+    an entry it zeroes is dropped.  An unknown id raises before any vector is built.
     """
     resources = list(resources)
     for r in resources:
@@ -111,9 +108,8 @@ def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
     token_to_id, dim, k = vocab.token_to_id, len(vocab), scheme.k
     tag_weights = f.resource_tag_weights
     if ixf is not None:
-        own = dict.fromkeys(t for r in resources for t in tag_weights.get(r, ())
-                            if t in token_to_id)
-        factor = {token_to_id[t]: ixf(t) for t in own}
+        factor = {t: ixf(t) for t in dict.fromkeys(
+            t for r in resources for t in tag_weights.get(r, ()) if t in token_to_id)}
     out: dict[str, FeatureVector] = {}
     for r in resources:
         weights = tag_weights.get(r)
@@ -123,36 +119,29 @@ def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
                 "resource %r has no annotated bookmarks; empty vector", r)
             out[r] = FeatureVector({}, dim)
             continue
-        if scheme.selection is Selection.FTA:
-            # vocabulary ids follow token order, so (-w, id) is (-w, tag)
-            selected = _ordered([(token_to_id[t], w) for t, w in weights.items()
-                                 if t in token_to_id])
-        else:
-            # an out-of-vocabulary tag still takes its rank slot
-            top = _ordered(weights.items())[:k]
-            if scheme.weighting is Weighting.RANKS:
-                out[r] = FeatureVector({token_to_id[t]: (k - rank + 1) / k
-                                        for rank, (t, _) in enumerate(top, 1)
-                                        if t in token_to_id}, dim)
-                continue
-            selected = [(token_to_id[t], w) for t, w in top if t in token_to_id]
-        if scheme.weighting is Weighting.FRACTIONS:
+        # top-K is the first K stored tags; an out-of-vocabulary one keeps its rank slot
+        stored = (weights.items() if scheme.selection is Selection.FTA
+                  else islice(weights.items(), k))
+        if scheme.weighting is Weighting.RANKS:
+            entries = {token_to_id[t]: (k - rank + 1) / k
+                       for rank, (t, _) in enumerate(stored, 1) if t in token_to_id}
+        elif scheme.weighting is Weighting.FRACTIONS:
             p = f.resource_annotators[r]
-            entries = {i: w / p for i, w in selected}
+            entries = {token_to_id[t]: w / p for t, w in stored if t in token_to_id}
         elif scheme.weighting is Weighting.UNWEIGHTED:
-            entries = {i: 1.0 for i, _ in selected}
+            entries = {token_to_id[t]: 1.0 for t, _ in stored if t in token_to_id}
         elif ixf is None:
-            entries = {i: float(w) for i, w in selected}
+            entries = {token_to_id[t]: float(w) for t, w in stored if t in token_to_id}
         else:
-            entries = {i: v for i, w in selected if (v := float(w) * factor[i]) != 0.0}
+            entries = {token_to_id[t]: v for t, w in stored
+                       if t in token_to_id and (v := float(w) * factor[t]) != 0.0}
         out[r] = FeatureVector(entries, dim)
     return out
 
 
 def tag_vocabulary(f: Folksonomy, min_df_fraction: float = 0.0) -> Vocabulary:
     """Vocabulary over the distinct tag sets of annotated resources."""
-    documents = [list(w) for w in f.resource_tag_weights.values()]
-    return build_vocabulary(documents, min_df_fraction)
+    return build_vocabulary(f.resource_tag_weights.values(), min_df_fraction)
 
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-zA-Z]+")
@@ -182,11 +171,6 @@ def tokenize(text: str, pipeline: TextPipelineConfig) -> list[str]:
 def represent_text(text: str, vocab: Vocabulary,
                    pipeline: TextPipelineConfig) -> FeatureVector:
     """tf * idf vector of the pipeline's surviving tokens; unknown tokens dropped."""
-    counts: dict[str, int] = {}
-    for token in tokenize(text, pipeline):
-        counts[token] = counts.get(token, 0) + 1
-    entries = [
-        (vocab.id_of(t), n * vocab.idf(t))
-        for t, n in counts.items() if t in vocab
-    ]
+    counts = Counter(tokenize(text, pipeline))
+    entries = [(vocab.id_of(t), n * vocab.idf(t)) for t, n in counts.items() if t in vocab]
     return FeatureVector.from_items(entries, len(vocab))

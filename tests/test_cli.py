@@ -894,6 +894,38 @@ class TestSweepConfigTyposRejected:
         assert report["meta"]["k_values"] == [1, 5]
 
 
+SCHEME_FORMS = ("expected <weighting>-fta or <weighting>-top<K>, <weighting> one of "
+                "ranks, fractions, unweighted, weighted, and ranks only with top<K>")
+
+
+class TestSchemeTyposRejected:
+    @pytest.mark.parametrize("scheme", ["bogus", "weighted-bottom3", "ranks-fta",
+                                        "Weighted-fta", "weighted-top"])
+    def test_represent_is_a_usage_error_before_any_input_is_read(self, tmp_path, capsys,
+                                                                 scheme):
+        out = tmp_path / "vectors.tsv"
+        with pytest.raises(SystemExit) as err:   # the bookmarks file does not exist
+            run(["represent", "--bookmarks", tmp_path / "absent.jsonl",
+                 "--scheme", scheme, "-o", out])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "folkclass represent: error: argument --scheme: "
+            f"cannot parse representation scheme {scheme!r}: {SCHEME_FORMS}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,bad", [
+        ("member", "bogus", "bogus"),
+        ("committee", "weighted-fta, tf-irf, weighted-topk", "weighted-topk")])
+    def test_sweep_member_names_the_forms(self, tmp_path, capsys, key, value, bad):
+        out = tmp_path / "report.json"
+        argv = write_sweep_inputs(tmp_path, {"sizes": "9", "runs": "1", key: value})
+        assert run(argv + ["-o", out]) == 1
+        assert capsys.readouterr().err == (
+            f"folkclass: error: {argv[-1]}: {key} = {value}: "
+            f"cannot parse representation scheme {bad!r}: {SCHEME_FORMS}\n")
+        assert not out.exists()
+
+
 # Option strings of every subcommand (and the global ones), as in `--help`.
 CLI_SURFACE = {
     None: {"-h", "--help", "--seed"},

@@ -1,3 +1,4 @@
+import builtins
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from folkclass.folksonomy import (Bookmark, corpus_statistics, filter_popular,
                                   bookmark_to_line)
 from folkclass.labels import (CategoryAssignment, label_map, parse_category_lines,
                               prune_small_categories)
+from folkclass.representation import tag_vocabulary
+from folkclass.weighting import parse_member, vectorize
 
 from conftest import brute_force_frequencies, random_bookmarks
 
@@ -269,6 +272,47 @@ class TestLabelMap:
             label_map([CategoryAssignment("r", "top1", "sec1")], level)
 
 
+# one (user, resource) pair per bookmark, drawn with many users per resource
+# and few tags so weights tie; the draw is then shuffled into line order
+_TIED_STREAMS = st.lists(
+    st.tuples(st.sampled_from([f"u{i}" for i in range(8)]), st.sampled_from(["r0", "r1", "r2"]),
+              st.lists(st.sampled_from(["b", "a", "B", "é", "a1", "z"]), max_size=4)),
+    max_size=24, unique_by=lambda m: m[:2]).flatmap(st.permutations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TIED_STREAMS)
+def test_ingest_stores_each_resources_tags_by_minus_w_then_tag(marks):
+    """The (-w, tag) order is stored at ingest: weight descending, then tag,
+    whatever the line order; the weights are a recount of the stream, and
+    the vectorizer reads that order without sorting."""
+    f = ingest_bookmarks(Bookmark(u, r, tuple(tags)) for u, r, tags in marks)
+    recount: dict[str, dict[str, int]] = {}
+    for _, r, tags in marks:
+        for t in set(tags):
+            recount.setdefault(r, {})[t] = recount.get(r, {}).get(t, 0) + 1
+    assert f.resource_tag_weights == recount
+    for r, weights in recount.items():
+        assert list(f.resource_tag_weights[r].items()) == sorted(
+            weights.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real_sorted(*args, **kwargs)
+
+    real_sorted = builtins.sorted
+    vocab = tag_vocabulary(f)
+    members = ["ranks-top2", "fractions-top3", "unweighted-fta", "weighted-fta",
+               "tf", "tf-irf", "tf-iuf", "tf-ibf"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builtins, "sorted", spy)
+        for name in members:
+            vectorize(f, parse_member(name), vocab, list(f.all_resource_ids))
+    assert calls == []
+
+
 class TestNovelty:
     def _ordered(self, tag_lists):
         return ingest_bookmarks([
@@ -349,6 +393,18 @@ class TestCorpusStatistics:
                                    "bookmarks": 0, "tags": 0}
         assert stats["tag_usage_curves"] == {"resources": [], "users": [],
                                              "bookmarks": []}
+
+    def test_statistics_do_not_depend_on_stream_order(self):
+        """Rank-2 relative usages 1/3, 1/2 and 2/3: summed in arrival order,
+        their float sum is not the same reversed."""
+        marks = [Bookmark("u1", "r1", ("b", "a")), Bookmark("u2", "r1", ("a",)),
+                 Bookmark("u3", "r1", ("a",)), Bookmark("u1", "r2", ("g", "c", "d")),
+                 Bookmark("u2", "r2", ("c",)), Bookmark("u3", "r3", ("f", "e")),
+                 Bookmark("u1", "r3", ("e", "b", "f")), Bookmark("u2", "r3", ("b", "e"))]
+        forward = corpus_statistics(ingest_bookmarks(marks))
+        assert forward == corpus_statistics(ingest_bookmarks(marks[::-1]))
+        assert forward["within_resource_relative_usage"][1] == {
+            "rank": 2, "mean_relative_usage": 0.5, "n_resources": 3}
 
     def test_usage_curves_cover_all_tags(self):
         rng = np.random.default_rng(17)
