@@ -40,9 +40,6 @@ class Selection(enum.Enum):
     FTA = "fta"
 
 
-_SCHEME_NAME = re.compile(rf"({'|'.join(w.value for w in Weighting)})-(?:(fta)|top(\d+))")
-
-
 class RepresentationScheme(Record):
     """One of the seven tag representations: weighting x selection (+ K)."""
 
@@ -65,16 +62,16 @@ class RepresentationScheme(Record):
     @staticmethod
     def parse(text: str) -> "RepresentationScheme":
         """Parse names like `weighted-fta`, `ranks-top10`, `fractions-top5`."""
-        m = _SCHEME_NAME.fullmatch(text)
-        if not m or (m[1] == Weighting.RANKS.value and m[2]):
+        weighting, _, selection = text.partition("-")
+        names = [w.value for w in Weighting]
+        m = re.fullmatch(r"fta|top(\d+)", selection)
+        if not m or weighting not in names or (weighting == Weighting.RANKS.value and not m[1]):
             raise ValueError(f"cannot parse representation scheme {text!r}: expected "
                              "<weighting>-fta or <weighting>-top<K>, <weighting> one of "
-                             f"{', '.join(w.value for w in Weighting)}, "
-                             "and ranks only with top<K>")
-        if m[2]:
-            return RepresentationScheme(Weighting(m[1]), Selection.FTA)
-        return RepresentationScheme(Weighting(m[1]), Selection.TOP_K, int(m[3]))
-
+                             f"{', '.join(names)}, and ranks only with top<K>")
+        if not m[1]:
+            return RepresentationScheme(Weighting(weighting), Selection.FTA)
+        return RepresentationScheme(Weighting(weighting), Selection.TOP_K, int(m[1]))
 
 
 def represent_resource(f: Folksonomy, resource: str,
@@ -95,11 +92,12 @@ def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
              ixf: Callable[[str], float] | None = None) -> dict[str, FeatureVector]:
     """The vectorizer pass: every tag vector is built here, once.
 
-    Each resource's tags are read in the (-w, tag) order that ingest stored,
-    with no sort, and that is the entry order of its vector.  `ixf`, when
-    given, maps a tag to the tf-ixf multiplier of its weighted value; it is
-    evaluated once per distinct in-vocabulary tag the resources carry, and
-    an entry it zeroes is dropped.  An unknown id raises before any vector is built.
+    Each resource's tags are read, with no sort, in the (-w, tag) order
+    that ingest stored, and that is the entry order of its vector.  `ixf`,
+    when given, maps a tag to the tf-ixf multiplier of its weighted value;
+    it is evaluated once per distinct in-vocabulary tag the resources carry,
+    and an entry it zeroes is dropped.  An unknown id raises before any
+    vector is built.
     """
     resources = list(resources)
     for r in resources:

@@ -93,10 +93,11 @@ def vectorize(f: Folksonomy, member: Member, vocab: Vocabulary,
     One vectorizer pass per call, the only code that turns tags into
     vectors: its cost grows with the resources' non-zeros plus their
     distinct tags (each tag's inverse frequency is computed once), not with
-    the vocabulary.  Entries are in (-w, tag) order, the order in which
-    margins and SGD steps sum them, and each value comes from the same
-    expression whatever the batch: so a vector, and every score summed from
-    it, is the same byte for byte however the resources are batched.
+    the vocabulary.  Entries are in the (-w, tag) order ingest stored, read
+    with no sort; margins and SGD steps sum them in that order.  Each value
+    comes from the same expression whatever the batch, so a vector, and
+    every score summed from it, is the same byte for byte however the
+    resources are batched.
     """
     if isinstance(member, RepresentationScheme):
         return _vectors(f, member, vocab, resources)
