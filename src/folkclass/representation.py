@@ -67,8 +67,8 @@ class RepresentationScheme(Record):
         m = re.fullmatch(r"fta|top(\d+)", selection)
         if not m or weighting not in names or (weighting == Weighting.RANKS.value and not m[1]):
             raise ValueError(f"cannot parse representation scheme {text!r}: expected "
-                             "<weighting>-fta or <weighting>-top<K>, <weighting> one of "
-                             f"{', '.join(names)}, and ranks only with top<K>")
+                             "<weighting>-fta or <weighting>-top<K> (K >= 1), <weighting> "
+                             f"one of {', '.join(names)}, and ranks only with top<K>")
         if not m[1]:
             return RepresentationScheme(Weighting(weighting), Selection.FTA)
         return RepresentationScheme(Weighting(weighting), Selection.TOP_K, int(m[1]))
@@ -106,8 +106,9 @@ def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
     token_to_id, dim, k = vocab.token_to_id, len(vocab), scheme.k
     tag_weights = f.resource_tag_weights
     if ixf is not None:
-        factor = {t: ixf(t) for t in dict.fromkeys(
-            t for r in resources for t in tag_weights.get(r, ()) if t in token_to_id)}
+        own = dict.fromkeys(t for r in resources for t in tag_weights.get(r, ())
+                            if t in token_to_id)
+        factor = {t: ixf(t) for t in own}
     out: dict[str, FeatureVector] = {}
     for r in resources:
         weights = tag_weights.get(r)

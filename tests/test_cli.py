@@ -894,8 +894,8 @@ class TestSweepConfigTyposRejected:
         assert report["meta"]["k_values"] == [1, 5]
 
 
-SCHEME_FORMS = ("expected <weighting>-fta or <weighting>-top<K>, <weighting> one of "
-                "ranks, fractions, unweighted, weighted, and ranks only with top<K>")
+SCHEME_FORMS = ("expected <weighting>-fta or <weighting>-top<K> (K >= 1), <weighting> "
+                "one of ranks, fractions, unweighted, weighted, and ranks only with top<K>")
 
 
 class TestSchemeTyposRejected:
