@@ -22,10 +22,10 @@ from .errors import InsufficientDataError
 from .folksonomy import Folksonomy
 from .labels import CategoryAssignment, check_level, label_map
 from .representation import RepresentationScheme, Selection, Weighting
-from .svm import LabeledDataset, TrainConfig, _evaluate, train
+from .svm import LabeledDataset, TrainConfig, _Batch, _columns_csr, _evaluate, _take, train
 from .committees import MarginTable, combine, predict_committee
 from .vectors import build_vocabulary
-from .weighting import Member, member_name, parse_member, vectorize
+from .weighting import Member, _member_pass, member_name, parse_member
 
 __all__ = [
     "ExperimentSpec", "hash_split", "run_experiment", "run_topk_sweep",
@@ -111,17 +111,19 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
                 "available for training")
 
     members = list(spec.committee) if spec.committee else [spec.member]
-    vocab = build_vocabulary(
-        (list(f.resource_tag_weights[r]) for r in train_pool),
-        spec.min_df_fraction)
+    vocab = build_vocabulary(map(f.resource_tag_weights.__getitem__, train_pool),
+                             spec.min_df_fraction)
 
-    vectors = [vectorize(f, m, vocab, pool) for m in members]
+    # each member's pool as one sparse batch; every dataset is a row selection of it
+    batches = [_columns_csr(*_member_pass(f, m, vocab, pool)) for m in members]
+    row_of = {r: i for i, r in enumerate(pool)}
+    labels = np.array([cat_id[label_of[r]] for r in pool])
 
-    def dataset(vs: dict, resources: Sequence[str]) -> LabeledDataset:
-        return LabeledDataset([(vs[r], cat_id[label_of[r]]) for r in resources],
-                              categories, len(vocab))
+    def dataset(batch: _Batch, resources: Sequence[str]) -> LabeledDataset:
+        rows = np.array([row_of[r] for r in resources], np.intp)
+        return LabeledDataset.from_batch(_take(batch, rows), labels[rows], categories, len(vocab))
 
-    test_sets = [dataset(vs, test_pool) for vs in vectors]   # flattened once, scored every run
+    test_sets = [dataset(batch, test_pool) for batch in batches]   # scored every run
 
     results = []
     for size in spec.sizes:
@@ -132,8 +134,8 @@ def run_experiment(spec: ExperimentSpec, f: Folksonomy,
             chosen, retries = _sample_covering(
                 train_pool, size, label_of, categories, rng)
             cfg = replace(spec.train, seed=seed)
-            scored = [_evaluate(train(dataset(vs, chosen), cfg), test)   # (accuracy, margins)
-                      for vs, test in zip(vectors, test_sets)]
+            scored = [_evaluate(train(dataset(batch, chosen), cfg), test)   # (accuracy, margins)
+                      for batch, test in zip(batches, test_sets)]
             if spec.committee:
                 summed, _ = combine([MarginTable(tuple(test_pool), tuple(categories),
                                                  margins.tolist())

@@ -13,7 +13,8 @@ import enum
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable
-from itertools import islice
+from itertools import islice, repeat
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .errors import UnknownResourceError
@@ -84,58 +85,81 @@ def represent_resource(f: Folksonomy, resource: str,
     rather than shifting weights.  A batch of one through the vectorizer
     pass that `weighting.vectorize` runs.
     """
-    return _vectors(f, scheme, vocab, [resource])[resource]
+    _, ids, values = _pass(f, scheme, vocab, [resource])
+    return _vector(zip(ids, values), len(vocab))
 
 
-def _vectors(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
-             resources: Iterable[str],
-             ixf: Callable[[str], float] | None = None) -> dict[str, FeatureVector]:
-    """The vectorizer pass: every tag vector is built here, once.
+def _pass(f: Folksonomy, scheme: RepresentationScheme, vocab: Vocabulary,
+          resources: list[str], ixf: Callable[[list[str]], list[float]] | None = None,
+          ) -> tuple[list[int], list[int], list[float]]:
+    """The vectorizer pass, in columns: every tag vector is built from it.
 
-    Each resource's tags are read, with no sort, in the (-w, tag) order
-    that ingest stored, and that is the entry order of its vector.  `ixf`,
-    when given, maps a tag to the tf-ixf multiplier of its weighted value;
-    it is evaluated once per distinct in-vocabulary tag the resources carry,
-    and an entry it zeroes is dropped.  An unknown id raises before any
-    vector is built.
+    For each resource in turn, the number of stored tags the scheme selects
+    (every tag, or the first K); and for each of those tags, in the (-w,
+    tag) order that ingest stored, read with no sort, its feature id and
+    its value.  The id is -1 for a tag that is no entry: one out of the
+    vocabulary, or one whose tf-ixf value is 0.  So a vector's entries are
+    its tags with an id, in that order, and an out-of-vocabulary tag still
+    takes its top-K rank slot.  `ixf`, when given, maps a list of tags to
+    the tf-ixf multipliers of their weighted values; it is called once, on
+    the distinct in-vocabulary tags the resources carry.  An unknown id
+    raises before any column is built.
     """
-    resources = list(resources)
     for r in resources:
         if r not in f.all_resource_ids:
             raise UnknownResourceError(r)
-    token_to_id, dim, k = vocab.token_to_id, len(vocab), scheme.k
-    tag_weights = f.resource_tag_weights
+    token_to_id, tag_weights = vocab.token_to_id, f.resource_tag_weights
+    weighting = scheme.weighting
+    top = scheme.k if scheme.selection is Selection.TOP_K else None
+    id_of = token_to_id.get
     if ixf is not None:
-        own = dict.fromkeys(t for r in resources for t in tag_weights.get(r, ())
-                            if t in token_to_id)
-        factor = {t: ixf(t) for t in own}
-    out: dict[str, FeatureVector] = {}
+        own = list(dict.fromkeys(t for r in resources for t in tag_weights.get(r, ())
+                                 if t in token_to_id))
+        factor = dict(zip(own, ixf(own)))
+        if 0.0 in factor.values():      # w * x is 0 where x is, as a weight w is a count >= 1
+            id_of = {t: token_to_id[t] if x else -1 for t, x in factor.items()}.get
+    counts: list[int] = []
+    ids: list[int] = []
+    values: list[float] = []
     for r in resources:
         weights = tag_weights.get(r)
         if not weights:     # logging is imported only to warn, as it costs start-up time
             import logging
             logging.getLogger(__name__).warning(
                 "resource %r has no annotated bookmarks; empty vector", r)
-            out[r] = FeatureVector({}, dim)
+            counts.append(0)
             continue
-        # top-K is the first K stored tags; an out-of-vocabulary one keeps its rank slot
-        stored = (weights.items() if scheme.selection is Selection.FTA
-                  else islice(weights.items(), k))
-        if scheme.weighting is Weighting.RANKS:
-            entries = {token_to_id[t]: (k - rank + 1) / k
-                       for rank, (t, _) in enumerate(stored, 1) if t in token_to_id}
-        elif scheme.weighting is Weighting.FRACTIONS:
-            p = f.resource_annotators[r]
-            entries = {token_to_id[t]: w / p for t, w in stored if t in token_to_id}
-        elif scheme.weighting is Weighting.UNWEIGHTED:
-            entries = {token_to_id[t]: 1.0 for t, _ in stored if t in token_to_id}
-        elif ixf is None:
-            entries = {token_to_id[t]: float(w) for t, w in stored if t in token_to_id}
+        n = len(ids)
+        ids.extend(map(id_of, weights if top is None else islice(weights, top), repeat(-1)))
+        n = len(ids) - n
+        counts.append(n)
+        if weighting is Weighting.RANKS:        # (K - rank + 1) / K at ranks 1..n
+            values.extend(map(truediv, range(top, top - n, -1), repeat(top)))
+        elif weighting is Weighting.UNWEIGHTED:
+            values.extend(repeat(1.0, n))
         else:
-            entries = {token_to_id[t]: v for t, w in stored
-                       if t in token_to_id and (v := float(w) * factor[t]) != 0.0}
-        out[r] = FeatureVector(entries, dim)
-    return out
+            ws = weights.values() if top is None else islice(weights.values(), top)
+            if weighting is Weighting.FRACTIONS:
+                values.extend(map(truediv, ws, repeat(f.resource_annotators[r])))
+            elif ixf is None:
+                values.extend(map(float, ws))
+            else:                               # w * x is float(w) * x; 0.0 where id is -1
+                values.extend(map(mul, ws, map(factor.get, weights, repeat(0.0))))
+    return counts, ids, values
+
+
+def _vectors(resources: list[str], dim: int, counts: list[int], ids: list[int],
+             values: list[float]) -> dict[str, FeatureVector]:
+    """Each resource's vector of width `dim` from its `_pass` columns."""
+    pairs = zip(ids, values)
+    return {r: _vector(islice(pairs, n), dim) for r, n in zip(resources, counts)}
+
+
+def _vector(pairs: Iterable[tuple[int, float]], dim: int) -> FeatureVector:
+    """The vector of one resource's `_pass` (id, value) pairs: those with an id."""
+    entries = dict(pairs)
+    entries.pop(-1, None)       # every tag with no entry, as one key
+    return FeatureVector._of(entries, dim)
 
 
 def tag_vocabulary(f: Folksonomy, min_df_fraction: float = 0.0) -> Vocabulary:

@@ -23,17 +23,22 @@ the loops, and `_tail_average` finishes every trainer.  Training reads
 instances only as sparse rows, and a step costs what the instance's
 non-zeros cost: the weights are kept in the Pegasos scaled form and the tail
 average lazily, so no step touches a column the instance does not hold.
+The lockstep gathers each block's entries from the dataset's rows when it
+reaches the block, so beyond V and U one-vs-one holds O(block) entries and
+a few numbers per pair row, not a copy of every pair row's entries.
 
-A batch of vectors is flattened in one place, `_csr`, into compressed
-sparse rows: row offsets, then every entry's column and value in entry
-order.  A `LabeledDataset` holds its instances that way, and so does a
-scored batch.  Margins are plain float arrays of length k; prediction is
-argmax with lowest-id tie-break.  Both come from one batched pass over a
-batch of vectors (a single vector is a batch of one), which sums each row
-exactly as a loop over the vector's entries would: bias first, then every
-entry in entry order.  One-vs-one scores every pair in that same pass, then
-sums its signed margins per category in pair order and counts each
-category's wins.  Training is deterministic under a fixed seed.
+A batch is held as compressed sparse rows: row offsets, then every entry's
+column and value in entry order.  `_csr` flattens a batch of vectors that
+way, `_columns_csr` the vectorizer pass's columns, and `_take` selects a
+batch's rows.  A `LabeledDataset` holds its instances that way, and so
+does a scored batch.  Margins are plain float arrays of length k;
+prediction is argmax with lowest-id tie-break.  Both come from one batched
+pass over a batch of vectors (a single vector is a batch of one), which
+sums each row exactly as a loop over the vector's entries would: bias
+first, then every entry in entry order.  One-vs-one scores every pair in
+that same pass, then sums its signed margins per category in pair order
+and counts each category's wins.  Training is deterministic under a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -111,20 +116,62 @@ def _csr(fvs: Sequence[FeatureVector]) -> _Batch:
     return starts, cols, vals
 
 
+def _columns_csr(counts: Sequence[int], ids: Sequence[int], values: Sequence[float]) -> _Batch:
+    """The vectorizer pass's columns (`representation._pass`) as a `_csr`
+    batch: row i holds resource i's tags with an id (not -1), in pass
+    order, as its vector does."""
+    ids, values = np.array(ids, np.intp), np.array(values, float)
+    keep = ids >= 0
+    row = np.repeat(np.arange(len(counts)), counts)[keep]
+    starts = np.zeros(len(counts) + 1, np.intp)
+    np.cumsum(np.bincount(row, minlength=len(counts)), out=starts[1:])
+    return starts, ids[keep], values[keep]
+
+
+def _gather(starts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows at indices `rows` of a `_csr` batch with row offsets `starts`:
+    their own row offsets, and the index of each of their entries in the batch."""
+    lengths = starts[rows + 1] - starts[rows]
+    bounds = np.zeros(len(rows) + 1, np.intp)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds, np.arange(bounds[-1]) + np.repeat(starts[rows] - bounds[:-1], lengths)
+
+
+def _take(batch: _Batch, rows: np.ndarray) -> _Batch:
+    """The `_csr` batch of `batch`'s rows at indices `rows`, in that order."""
+    starts, at = _gather(batch[0], rows)
+    return starts, batch[1][at], batch[2][at]
+
+
 class LabeledDataset:
-    """Instances (sparse vector, category id) over dense ids 0..k-1, also held
+    """Instances (sparse vector, category id) over dense ids 0..k-1, held
     flattened: the vectors as the `_csr` arrays `starts`, `cols` and `vals`,
     the category ids as the array `labels`.  Every other view reads those."""
 
     def __init__(self, instances: Sequence[tuple[FeatureVector, int]],
                  categories: Sequence[str], n_features: int):
+        instances = list(instances)
+        self._hold(_csr(list(map(itemgetter(0), instances))),
+                   np.fromiter(map(itemgetter(1), instances), np.int64, len(instances)),
+                   categories, n_features)
+
+    @classmethod
+    def from_batch(cls, batch: _Batch, labels: np.ndarray, categories: Sequence[str],
+                   n_features: int) -> LabeledDataset:
+        """The dataset whose instance i is row i of a `_csr` batch, labeled labels[i]."""
+        dataset = cls.__new__(cls)
+        dataset._hold(batch, np.asarray(labels, np.int64), categories, n_features)
+        return dataset
+
+    def _hold(self, batch: _Batch, labels: np.ndarray, categories: Sequence[str],
+              n_features: int) -> None:
+        """Keep the arrays, after checking the category ids and feature ids."""
         if len(categories) < 2:
             raise ValueError(f"need at least 2 categories, got {len(categories)}")
-        self.instances = list(instances)
         self.categories = list(categories)
         self.n_features = n_features
-        self.starts, self.cols, self.vals = _csr(list(map(itemgetter(0), self.instances)))
-        self.labels = np.fromiter(map(itemgetter(1), self.instances), np.int64, len(self))
+        self.starts, self.cols, self.vals = batch
+        self.labels = labels
         bad = (self.labels < 0) | (self.labels >= self.k)
         if bad.any():
             raise ValueError(f"category id {self.labels[bad.argmax()]} outside 0..{self.k - 1}")
@@ -133,8 +180,15 @@ class LabeledDataset:
             top = self.cols[self.starts[i]:self.starts[i + 1]].max()
             raise ValueError(f"instance {i}: feature id {top} outside 0..{n_features - 1}")
 
+    @cached_property
+    def instances(self) -> list[tuple[FeatureVector, int]]:
+        """The (vector, category id) pairs, read from the arrays."""
+        bounds, cols, vals = self.starts.tolist(), self.cols.tolist(), self.vals.tolist()
+        return [(FeatureVector(dict(zip(cols[lo:hi], vals[lo:hi])), self.n_features), label)
+                for lo, hi, label in zip(bounds, bounds[1:], self.labels.tolist())]
+
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.labels)
 
     @property
     def k(self) -> int:
@@ -386,8 +440,9 @@ def _train_pairs(batch: _Batch, rows: list[tuple[np.ndarray, np.ndarray]], y: np
     lockstep: every pair with a t-th step takes it, in one gather, score and
     update over the concatenated columns of those pairs' instances.  The
     longest pair's steps after that (every step when k = 2) are `_sgd`'s,
-    resumed at the step the lockstep reached.  The lockstep's entry arrays
-    are built in blocks of steps of at most about `_LOCKSTEP_ENTRIES` entries.
+    resumed at the step the lockstep reached.  The lockstep builds its entry
+    arrays per block of steps, from `batch`, at most about
+    `_LOCKSTEP_ENTRIES` entries at a time.
 
     The lockstep sums a pair's score in another order than `_sgd`'s dot
     product, so the two sums can differ in their last bits.  Only the hinge
@@ -417,14 +472,16 @@ def _lockstep(batch: _Batch, rows: list[tuple[np.ndarray, np.ndarray]], members:
               scale: np.ndarray, steps: int, V: np.ndarray, U: np.ndarray) -> None:
     """Steps 1..`steps` of `_train_pairs`: in step t, every pair with a t-th step.
 
-    A pair row is one pair's member instance; its entries are the instance's
-    non-zeros, each with its flat index into V (row p, the entry's column),
-    its value times y, and `_sgd`'s step on it, (C*n_p*g) * x with g = -y.
-    A slot is one pair's step on one pair row.  A block of steps lays its
-    slots' entries out step by step, so a step gathers its V entries at once,
-    sums each slot's signed score and writes the steps of the violated slots.
-    U is only read at the end, so a block adds its tail steps' G[t-1] * step
-    to U after its last step, each element's terms in step order.
+    A pair row is one pair's member instance, with its sign y and `_sgd`'s
+    step factor C*n_p*(-y).  A slot is one pair's step on one pair row.  A
+    block of steps gathers its slots' entries from `batch`, step by step:
+    each entry's flat index into V (row p, the entry's column), its value
+    times y, and its step, the step factor times the value, as `_sgd`
+    computes (C*n_p*g) * x with g = -y.  So a block holds O(block) entries,
+    never every pair row's.  A step reads its V entries at once, sums each
+    slot's signed score and writes the steps of the violated slots.  U is
+    only read at the end, so a block adds its tail steps' G[t-1] * step to
+    U after its last step, each element's terms in step order.
 
     A rescore bound: a sum of L products V_j x_j, in any order, is within
     2u * L * sum_j |V_j x_j| of the exact sum (u = eps/2), so two sums are
@@ -435,20 +492,13 @@ def _lockstep(batch: _Batch, rows: list[tuple[np.ndarray, np.ndarray]], members:
     P, dim = V.shape
     offsets, all_cols, all_vals = batch    # `rows` are its rows
     lengths = np.diff(offsets)
-    # the pair rows, pair by pair, and their entries
+    # the pair rows, pair by pair
     row_inst = np.concatenate(members)
     row_pair = np.repeat(np.arange(P), [len(m) for m in members])
     row_sign = np.concatenate(signs)
-    row_len = lengths[row_inst]
-    row_entries = np.concatenate([[0], np.cumsum(row_len)])
-    source = np.arange(row_entries[-1]) + np.repeat(offsets[row_inst] - row_entries[:-1],
-                                                    row_len)
-    pair_flat = np.repeat(row_pair * dim, row_len) + all_cols[source]
-    pair_signed = np.repeat(row_sign, row_len) * all_vals[source]
-    pair_step = np.repeat(scale[row_pair] * -row_sign, row_len) * all_vals[source]
-    del source
+    row_factor = scale[row_pair] * -row_sign
     # per pair row, the rescore bound's 4u * (L+2) * C*n_p * max|x| * sum|x|
-    row_bound = (2 * np.finfo(float).eps * (row_len + 2) * np.abs(all_vals).max()
+    row_bound = (2 * np.finfo(float).eps * (lengths[row_inst] + 2) * np.abs(all_vals).max()
                  * np.add.reduceat(np.abs(all_vals), offsets[:-1])[row_inst]
                  * scale[row_pair])
     first_row = np.concatenate([[0], np.cumsum([len(m) for m in members])])
@@ -466,17 +516,19 @@ def _lockstep(batch: _Batch, rows: list[tuple[np.ndarray, np.ndarray]], members:
         live = np.flatnonzero(table >= 0)
         slot_row, slot_step = table.flat[live], live // P
         slot_bounds = np.searchsorted(slot_step, np.arange(B + 1))
-        slot_len = row_len[slot_row]
         prior = np.arange(t0 - 1, t0 - 1 + B)                          # t - 1
         step_tol = (2 * np.finfo(float).eps * np.maximum(prior, 1) + prior
                     * np.maximum.reduceat(row_bound[slot_row], slot_bounds[:-1])).tolist()
-        slot_entries = np.concatenate([[0], np.cumsum(slot_len)])
-        at = np.arange(slot_entries[-1]) + np.repeat(
-            row_entries[slot_row] - slot_entries[:-1], slot_len)
-        flat, signed, step = pair_flat[at], pair_signed[at], pair_step[at]
+        slot_entries, at = _gather(offsets, row_inst[slot_row])
+        slot_len = np.diff(slot_entries)
+        x = all_vals[at]
+        flat = np.repeat(row_pair[slot_row] * dim, slot_len) + all_cols[at]
+        signed = np.repeat(row_sign[slot_row], slot_len) * x
+        step = np.repeat(row_factor[slot_row], slot_len) * x
+        del at, x
         seg = np.repeat(np.arange(len(live)) - slot_bounds[slot_step], slot_len)
         first = slot_entries[:-1] - slot_entries[slot_bounds[slot_step]]   # within its step
-        taken = np.zeros(len(at), dtype=bool)
+        taken = np.zeros(len(flat), dtype=bool)
         step_bounds = slot_entries[slot_bounds].tolist()
         slot_bounds = slot_bounds.tolist()
         for t, s0, s1, e0, e1, tol in zip(range(t0, t0 + B), slot_bounds, slot_bounds[1:],
@@ -612,10 +664,13 @@ def self_train_2step(labeled: LabeledDataset,
     union.  With no unlabeled data the returned model is the supervised one.
     """
     first = train(labeled, cfg)
-    pseudo = first.predict_batch(unlabeled)
+    starts, cols, vals = batch = _csr(unlabeled)
+    pseudo = first._scores(batch)[1]
     counts = dict(zip(labeled.categories, np.bincount(pseudo, minlength=labeled.k).tolist()))
-    union = LabeledDataset(labeled.instances + list(zip(unlabeled, pseudo.tolist())),
-                           labeled.categories, labeled.n_features)
+    union = LabeledDataset.from_batch(
+        (np.concatenate([labeled.starts, labeled.starts[-1] + starts[1:]]),
+         np.concatenate([labeled.cols, cols]), np.concatenate([labeled.vals, vals])),
+        np.concatenate([labeled.labels, pseudo]), labeled.categories, labeled.n_features)
     final = train(union, cfg)
     return SelfTrainResult(model=final, pseudo_label_counts=counts)
 

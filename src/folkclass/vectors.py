@@ -9,7 +9,9 @@ document frequencies.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import chain
 
 from .errors import MalformedRecordError
 from .records import Record
@@ -34,6 +36,15 @@ class FeatureVector(Record):
         object.__setattr__(self, "dim", dim)
 
     @staticmethod
+    def _of(entries: dict[int, float], dim: int) -> "FeatureVector":
+        """A vector whose caller guarantees every id in 0..dim-1 and every
+        weight non-zero, as the vectorizer pass does: built unchecked."""
+        fv = object.__new__(FeatureVector)
+        _set_entries(fv, entries)
+        _set_dim(fv, dim)
+        return fv
+
+    @staticmethod
     def from_items(items: Iterable[tuple[int, float]], dim: int) -> "FeatureVector":
         """Build a vector, silently dropping zero weights."""
         return FeatureVector({fid: w for fid, w in items if w != 0.0}, dim)
@@ -49,6 +60,9 @@ class FeatureVector(Record):
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+_set_entries, _set_dim = FeatureVector.entries.__set__, FeatureVector.dim.__set__
 
 
 class Vocabulary(Record):
@@ -91,19 +105,15 @@ def build_vocabulary(documents: Iterable[Iterable[str]],
     """
     if not 0.0 <= min_df_fraction < 1.0:
         raise ValueError(f"min_df_fraction must be in [0, 1), got {min_df_fraction}")
-    df: dict[str, int] = {}
-    n_docs = 0
-    for doc in documents:
-        n_docs += 1
-        for token in set(doc):
-            df[token] = df.get(token, 0) + 1
-    threshold = math.ceil(min_df_fraction * n_docs)
+    documents = list(documents)
+    df = Counter(chain.from_iterable(map(set, documents)))
+    threshold = math.ceil(min_df_fraction * len(documents))
     kept = sorted(t for t, f in df.items() if f >= threshold)
     return Vocabulary(
         token_to_id={t: i for i, t in enumerate(kept)},
         id_to_token=kept,
         doc_frequency={t: df[t] for t in kept},
-        n_documents=n_docs,
+        n_documents=len(documents),
     )
 
 

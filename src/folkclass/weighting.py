@@ -11,11 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable, Iterable, Sequence
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, truediv
 
 from .errors import DegenerateInputError, UnknownTagError
 from .folksonomy import Folksonomy
-from .representation import RepresentationScheme, Selection, Weighting, _vectors
+from .representation import (RepresentationScheme, Selection, Weighting, _pass, _vector,
+                             _vectors)
 from .vectors import FeatureVector, Vocabulary
 
 __all__ = [
@@ -32,24 +34,33 @@ class InverseFrequencyKind(enum.Enum):   # values: choices.INVERSE_FREQUENCY_KIN
     NONE = "none"   # plain tag frequency
 
 
+_DIMENSIONS = {   # per kind, the annotated total (|R|, |U|, |B|) and a tag's count
+    InverseFrequencyKind.IRF: (attrgetter("n_resources"), attrgetter("rf")),
+    InverseFrequencyKind.IUF: (attrgetter("n_users"), attrgetter("uf")),
+    InverseFrequencyKind.IBF: (attrgetter("n_bookmarks"), attrgetter("bf")),
+}
+
+
 def inverse_frequency(tag: str, f: Folksonomy, kind: InverseFrequencyKind) -> float:
     """Inverse frequency of a tag over the chosen dimension; NONE is 1."""
-    return _inverse_frequencies(f, kind)(tag)
+    return _inverse_frequencies(f, kind)([tag])[0]
 
 
-def _inverse_frequencies(f: Folksonomy, kind: InverseFrequencyKind) -> Callable[[str], float]:
-    """`inverse_frequency` over `kind` as a function of the tag; reads the total once."""
+def _inverse_frequencies(f: Folksonomy, kind: InverseFrequencyKind,
+                         ) -> Callable[[list[str]], list[float]]:
+    """`inverse_frequency` over `kind` as a function of a list of tags, giving
+    each tag's; reads the total once."""
     if kind is InverseFrequencyKind.NONE:
-        return lambda tag: 1.0
-    total, count = {InverseFrequencyKind.IRF: (f.n_resources, attrgetter("rf")),
-                    InverseFrequencyKind.IUF: (f.n_users, attrgetter("uf")),
-                    InverseFrequencyKind.IBF: (f.n_bookmarks, attrgetter("bf"))}[kind]
+        return lambda tags: [1.0] * len(tags)
+    total, count = _DIMENSIONS[kind]
+    total = total(f)
 
-    def ixf(tag: str) -> float:
+    def ixf(tags: list[str]) -> list[float]:     # log(total / count) per tag
         try:
-            return math.log(total / count(f.tag_frequencies[tag]))
-        except KeyError:
-            raise UnknownTagError(tag) from None
+            return list(map(math.log, map(truediv, repeat(total),
+                                          map(count, map(f.tag_frequencies.__getitem__, tags)))))
+        except KeyError as missing:
+            raise UnknownTagError(missing.args[0]) from None
     return ixf
 
 
@@ -60,9 +71,10 @@ def weight_resource(f: Folksonomy, resource: str,
 
     A tag saturating its dimension gets weight 0 and is dropped; with
     kind=NONE this equals the weighted full-tagging-activity representation.
-    A batch of one through `vectorize`.
+    A batch of one through the pass `vectorize` runs.
     """
-    return vectorize(f, kind, vocab, [resource])[resource]
+    _, ids, values = _member_pass(f, kind, vocab, [resource])
+    return _vector(zip(ids, values), len(vocab))
 
 
 Member = RepresentationScheme | InverseFrequencyKind   # tag representation or tf-ixf
@@ -99,10 +111,17 @@ def vectorize(f: Folksonomy, member: Member, vocab: Vocabulary,
     every score summed from it, is the same byte for byte however the
     resources are batched.
     """
+    resources = list(resources)
+    return _vectors(resources, len(vocab), *_member_pass(f, member, vocab, resources))
+
+
+def _member_pass(f: Folksonomy, member: Member, vocab: Vocabulary,
+                 resources: list[str]) -> tuple[list[int], list[int], list[float]]:
+    """The vectorizer pass's columns (`representation._pass`) under `member`."""
     if isinstance(member, RepresentationScheme):
-        return _vectors(f, member, vocab, resources)
+        return _pass(f, member, vocab, resources)
     ixf = None if member is InverseFrequencyKind.NONE else _inverse_frequencies(f, member)
-    return _vectors(f, _WEIGHTED_FTA, vocab, resources, ixf)
+    return _pass(f, _WEIGHTED_FTA, vocab, resources, ixf)
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -163,7 +182,7 @@ def correlate_weightings(f: Folksonomy) -> dict:
     if len(tags) < 2:
         raise DegenerateInputError("need at least 2 tags to correlate weightings")
     series = {
-        kind: list(map(_inverse_frequencies(f, kind), tags))
+        kind: _inverse_frequencies(f, kind)(tags)
         for kind in (InverseFrequencyKind.IRF, InverseFrequencyKind.IUF,
                      InverseFrequencyKind.IBF)
     }

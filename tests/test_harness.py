@@ -154,19 +154,29 @@ class TestRunExperiment:
     @pytest.mark.parametrize("committee", [
         None, (RepresentationScheme.parse("weighted-fta"), InverseFrequencyKind.IRF)])
     def test_each_members_test_pool_flattened_once(self, monkeypatch, committee):
-        flattened, csr = [], svm._csr
+        """One vectorizer pass per member flattens its whole pool into one
+        batch; every training and test set is a row selection of it, so no
+        vector is flattened again."""
+        passes, flattened = [], []
+        member_pass, csr = harness._member_pass, svm._csr
+
+        def counted_pass(f, member, vocab, resources):
+            passes.append((member, len(resources)))
+            return member_pass(f, member, vocab, resources)
 
         def counted_csr(fvs):
             flattened.append(len(fvs))
             return csr(fvs)
 
+        monkeypatch.setattr(harness, "_member_pass", counted_pass)
         monkeypatch.setattr(svm, "_csr", counted_csr)
         f, labels = labeled_corpus()
-        report = run_experiment(quick_spec(sizes=(6, 9), runs=3, committee=committee),
-                                f, labels)
-        n_test = report["data"]["n_test"]
-        assert n_test > 9
-        assert flattened.count(n_test) == len(committee or [None])   # not 6 per member
+        spec = quick_spec(sizes=(6, 9), runs=3, committee=committee)
+        report = run_experiment(spec, f, labels)
+        n_pool = report["data"]["n_labeled"]
+        assert n_pool > report["data"]["n_test"] > 9
+        assert passes == [(m, n_pool) for m in committee or [spec.member]]
+        assert flattened == []
 
 
 class TestTopkSweep:

@@ -4,6 +4,7 @@ for byte, and the derived `.models` view gives the old sub-models.
 """
 
 import json
+import tracemalloc
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -74,3 +75,24 @@ def test_unbalanced_tag_counts_at_one_over_n(keep):
     for seed in range(3):
         cfg = TrainConfig(penalty=1 / 30, epochs=4, seed=seed, scheme="one-vs-one")
         assert model_to_json(train_one_vs_one(ds, cfg)) == per_pair_document(ds, cfg)
+
+
+def test_memory_is_bounded_by_a_block():
+    """k = 12, n = 1200, L = 20: each instance sits in 11 pairs, so the pair
+    rows hold 13200 * 21 entries, which per-entry arrays built up front
+    would keep for the whole pass (about 12 MB).  A block gathers its own,
+    so beyond V and U training holds what is O(block) or O(pair rows)."""
+    k, n, length, d = 12, 1200, 20, 1000
+    rng = np.random.default_rng(0)
+    instances = [(FeatureVector(dict(zip(rng.choice(d, length, replace=False).tolist(),
+                                         rng.integers(1, 4, length).astype(float).tolist())),
+                                d), i % k) for i in range(n)]
+    ds = LabeledDataset(instances, [f"c{m}" for m in range(k)], d)
+    tracemalloc.start()
+    try:
+        train_one_vs_one(ds, TrainConfig(epochs=1, scheme="one-vs-one"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    V_and_U = 2 * (k * (k - 1) // 2) * (d + 1) * 8
+    assert peak - V_and_U < 4 * 2 ** 20

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from folkclass import svm
 from folkclass.svm import (LabeledDataset, LinearModel, OneVsOneModel,
                            TrainConfig, evaluate_accuracy, model_from_json,
                            model_to_json, native_gradient, native_objective,
@@ -347,6 +348,26 @@ class TestSelfTraining:
         # sanity: the pseudo-labels really were all correct on this toy
         assert all(step1.predict(x) == cid for x, cid in extra)
         assert evaluate_accuracy(result.model, labeled) >= step1_acc
+
+    @pytest.mark.parametrize("scheme", ["native", "one-vs-one"])
+    def test_unlabeled_vectors_flattened_once(self, blobs3, monkeypatch, scheme):
+        """Step 2 scores one batch of the unlabeled vectors, and step 3's
+        union is the labeled arrays with that batch appended."""
+        flattened, csr = [], svm._csr
+
+        def counted_csr(fvs):
+            flattened.append(len(fvs))
+            return csr(fvs)
+
+        cfg = TrainConfig(epochs=20, seed=3, scheme=scheme)
+        extra = [x for x, _ in gaussian_blobs(5, MEANS_3, per_class=4)]
+        expected = model_to_json(train(LabeledDataset(
+            blobs3.instances + list(zip(extra, train(blobs3, cfg).predict_batch(extra).tolist())),
+            blobs3.categories, 2), cfg))
+        monkeypatch.setattr(svm, "_csr", counted_csr)
+        result = self_train_2step(blobs3, extra, cfg)
+        assert flattened == [len(extra)]
+        assert model_to_json(result.model) == expected
 
     def test_works_with_composite_schemes(self, blobs3):
         cfg = TrainConfig(epochs=20, seed=2, scheme="one-vs-one")

@@ -1,11 +1,14 @@
 """The one vectorizer pass against the per-resource construction it replaced
 (tests/vectorize_oracle.py): equal entry by entry, in entry order and bit
-for bit, for all seven schemes and all four inverse-frequency kinds.
+for bit, for all seven schemes and all four inverse-frequency kinds.  The
+harness's pool batch, built from the same pass, and its row selections
+equal the compressed sparse rows of those vectors byte for byte.
 """
 
 import logging
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -13,8 +16,9 @@ from folkclass.errors import UnknownResourceError
 from folkclass.folksonomy import Bookmark, ingest_bookmarks
 from folkclass.representation import (RepresentationScheme, Selection, Weighting,
                                       tag_vocabulary)
+from folkclass.svm import _columns_csr, _csr, _take
 from folkclass.vectors import build_vocabulary
-from folkclass.weighting import InverseFrequencyKind, vectorize, weight_resource
+from folkclass.weighting import InverseFrequencyKind, _member_pass, vectorize, weight_resource
 
 import vectorize_oracle as oracle
 
@@ -96,6 +100,46 @@ def test_top_k_cutoffs_holes_and_unannotated_resources(k, min_df):
     resources = ["r4", "r0", "r1", "r2", "r3"]
     for member in [*schemes(k), *InverseFrequencyKind]:
         assert_same(f, member, vocab, resources)
+
+
+def assert_pool_batch_is_csr(f, member, vocab, resources, rows):
+    """The pool batch of `resources`, and its rows at `rows`, are `_csr` of
+    `vectorize`'s vectors: same arrays, same dtypes, same bytes."""
+    pool = _columns_csr(*_member_pass(f, member, vocab, resources))
+    vectors = vectorize(f, member, vocab, resources)
+    rows = np.array(rows, np.intp)
+    for got, want in [(pool, _csr(list(vectors.values()))),
+                      (_take(pool, rows), _csr([vectors[resources[i]] for i in rows.tolist()]))]:
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+@pytest.mark.parametrize("min_df", [0.0, 0.5])
+def test_pool_batch_rows_are_the_vectors_rows(k, min_df):
+    """All 11 members, over out-of-vocabulary tags (min_df 0.5 and r2's
+    "Rare"), top-K holes and the unannotated r3 and r4, with rows taken
+    repeated, reordered and not at all."""
+    f = _corpus()
+    vocab = build_vocabulary([list(f.resource_tag_weights[r]) for r in ("r0", "r1")], min_df)
+    resources = ["r4", "r0", "r1", "r2", "r3"]
+    members = [*schemes(k), *InverseFrequencyKind]
+    assert len(members) == 11
+    for member in members:
+        for rows in ([], [0], [2, 2, 4, 1, 3, 0], [3, 4]):
+            assert_pool_batch_is_csr(f, member, vocab, resources, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=folksonomies(), member=MEMBERS, min_df=st.sampled_from([0.0, 0.2, 0.5]),
+       data=st.data())
+def test_pool_batch_equals_csr_of_vectorize(f, member, min_df, data):
+    everything = sorted(f.all_resource_ids)
+    known = data.draw(st.lists(st.sampled_from(everything), unique=True))
+    vocab = build_vocabulary([list(f.resource_tag_weights.get(r, ())) for r in known], min_df)
+    resources = data.draw(st.lists(st.sampled_from(everything), unique=True, min_size=1))
+    rows = data.draw(st.lists(st.integers(0, len(resources) - 1)))
+    assert_pool_batch_is_csr(f, member, vocab, resources, rows)
 
 
 class TestEmptyVectorsAndUnknownIds:

@@ -71,6 +71,24 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             build_vocabulary([["a"]], 1.0)
 
+    @given(st.lists(st.lists(st.sampled_from(["a", "B", "b", "é", "t10", "t2"]), max_size=8),
+                    max_size=12),
+           st.sampled_from([0.0, 0.2, 0.5, 0.9]), st.booleans())
+    def test_equals_a_per_document_loop(self, docs, min_df, lazily):
+        """Repeated tokens in a document count once; a generator of
+        documents counts as the list does."""
+        df: dict[str, int] = {}
+        for doc in docs:
+            for token in set(doc):
+                df[token] = df.get(token, 0) + 1
+        kept = sorted(t for t, n in df.items() if n >= math.ceil(min_df * len(docs)))
+        vocab = build_vocabulary((list(d) for d in docs) if lazily else docs, min_df)
+        assert vocab.id_to_token == kept
+        assert vocab.token_to_id == {t: i for i, t in enumerate(kept)}
+        assert vocab.doc_frequency == {t: df[t] for t in kept}
+        assert type(vocab.doc_frequency) is dict
+        assert vocab.n_documents == len(docs)
+
 
 class TestTextPipeline:
     def test_tokenize_non_alphanumeric_boundaries(self):
